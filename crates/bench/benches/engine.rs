@@ -6,7 +6,9 @@
 //!   trade-off);
 //! * `link_queue` — ring-buffer enqueue/dequeue at shallow depth (the
 //!   common case) and past the stride (the overflow spill/promote path),
-//!   against the `VecDeque`-per-link layout the first engine used.
+//!   against the `VecDeque`-per-link layout the first engine used; plus
+//!   a `sparse` case that builds Γ_26-sized queues per iteration with a
+//!   few hundred live links, the per-run set-up cost of the queue arena.
 
 use std::collections::VecDeque;
 
@@ -135,7 +137,38 @@ fn bench_link_queue(c: &mut Criterion) {
             b.iter(|| assert_eq!(vecdeque_pattern(LINKS, depth, ROUNDS), expected))
         });
     }
+    let expected = sparse_run(GAMMA_26_LINKS, SPARSE_LIVE);
+    group.bench_function(BenchmarkId::new("ring", "sparse"), |b| {
+        b.iter(|| assert_eq!(sparse_run(GAMMA_26_LINKS, SPARSE_LIVE), expected))
+    });
     group.finish();
+}
+
+/// Directed links of Γ_26 (317,811 nodes).
+const GAMMA_26_LINKS: usize = 4_664_836;
+
+/// Links holding packets at once in a Γ_26 uniform run: a few hundred.
+const SPARSE_LIVE: usize = 300;
+
+/// One run's queue life cycle at scale: allocate queues for `links`
+/// links, fill `live` links spread across the whole id range (one of
+/// them past the stride, as the hub link is), and drain them.
+fn sparse_run(links: usize, live: usize) -> u64 {
+    let mut queues = LinkQueues::new(links);
+    let stride = links / live;
+    for i in 0..live {
+        let depth = if i == 0 { RING_STRIDE * 4 } else { 1 };
+        for k in 0..depth {
+            queues.push(i * stride, (i + k) as u32);
+        }
+    }
+    let mut sum = 0u64;
+    for i in 0..live {
+        while let Some(popped) = queues.pop(i * stride) {
+            sum = sum.wrapping_add(popped as u64);
+        }
+    }
+    sum
 }
 
 criterion_group!(benches, bench_route_lookup, bench_link_queue);

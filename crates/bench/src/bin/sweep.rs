@@ -18,7 +18,9 @@
 //!    (2,178,309 nodes, full mode; Γ_26 in smoke) — per rung the streamed
 //!    graph-build rate, the implicit routing state per node (gated at
 //!    64 bytes/node by a typed [`BenchError`]), and the steady-state
-//!    engine hops/sec of a live uniform-traffic run;
+//!    engine hops/sec of a live uniform-traffic run, plus a Γ_26
+//!    hot-spot rung whose saturated hub links exercise the queue spill
+//!    pool at scale (it must drain, and its peak RSS is recorded);
 //! 6. switching grids (`switching_sweep`): the injection ladder re-run
 //!    under store-and-forward vs flit-level wormhole switching (virtual
 //!    channels, credit backpressure) on Γ vs Q — how the switching model
@@ -360,6 +362,7 @@ fn peak_rss_bytes() -> Option<u64> {
 struct ScaleRung {
     d: usize,
     topology: String,
+    traffic: String,
     nodes: usize,
     links: usize,
     graph_build_ms: f64,
@@ -379,6 +382,7 @@ impl ScaleRung {
         JsonValue::obj([
             ("d", JsonValue::Int(self.d as u64)),
             ("topology", JsonValue::Str(self.topology.clone())),
+            ("traffic", JsonValue::Str(self.traffic.clone())),
             ("nodes", JsonValue::Int(self.nodes as u64)),
             ("links", JsonValue::Int(self.links as u64)),
             ("graph_build_ms", JsonValue::Num(self.graph_build_ms)),
@@ -412,9 +416,9 @@ impl ScaleRung {
 
 /// Builds Γ_d through [`ImplicitFibonacciNet`] (streamed CSR, no
 /// labels/flip-rows/tables), gates its routing state at
-/// [`SCALE_ROUTING_BUDGET_PER_NODE`], and runs one live uniform-traffic
+/// [`SCALE_ROUTING_BUDGET_PER_NODE`], and runs one live `traffic`
 /// experiment on it for the steady-state hops/sec figure.
-fn scale_rung(d: usize, packets: usize, window: u64) -> Result<ScaleRung, BenchError> {
+fn scale_rung(d: usize, traffic: TrafficSpec) -> Result<ScaleRung, BenchError> {
     let net = ImplicitFibonacciNet::classical(d);
     let nodes = net.len();
     let routing_state_bytes = net.routing_state_bytes();
@@ -435,13 +439,9 @@ fn scale_rung(d: usize, packets: usize, window: u64) -> Result<ScaleRung, BenchE
     // CSR footprint: `(n + 1)` u32 offsets + `2·links` u32 targets.
     let graph_bytes = 4 * (nodes + 1 + 2 * links);
 
-    let traffic = TrafficSpec::Uniform {
-        count: packets,
-        window,
-    };
     let sim_start = Instant::now();
     let report = Experiment::on(&net)
-        .traffic(traffic)
+        .traffic(traffic.clone())
         .seed(2026)
         .cycles(4_000_000)
         .run()
@@ -460,6 +460,7 @@ fn scale_rung(d: usize, packets: usize, window: u64) -> Result<ScaleRung, BenchE
     Ok(ScaleRung {
         d,
         topology: net.name(),
+        traffic: traffic.to_string(),
         nodes,
         links,
         graph_build_ms,
@@ -1038,14 +1039,27 @@ fn run() -> Result<(), BenchError> {
     // O(n²) tables — routing state is the O(d) weight vector alone. Smoke
     // tops out at Γ_26 (317,811 nodes) for CI; the full run climbs to
     // Γ_30 (2,178,309 nodes). Packet count is fixed, so the rungs expose
-    // the per-node costs, not a growing workload.
+    // the per-node costs, not a growing workload. A final hot-spot rung
+    // re-runs Γ_26 with half the packets aimed at the all-zeros hub, the
+    // adversarial case for queue memory: the hub's links saturate while
+    // the rest of the network idles, so a per-link allocation cliff would
+    // show in its peak RSS.
     let ladder: &[usize] = if smoke {
         &[16, 20, 23, 26]
     } else {
         &[16, 20, 23, 26, 28, 30]
     };
+    let uniform = TrafficSpec::Uniform {
+        count: packets,
+        window,
+    };
+    let hot_spot = TrafficSpec::HotSpot {
+        count: packets,
+        window,
+        hot_fraction: 0.5,
+    };
     println!(
-        "{:<7} {:>9} {:>10} {:>10} {:>12} {:>9} {:>9} {:>12} {:>10}",
+        "{:<7} {:>9} {:>10} {:>10} {:>12} {:>9} {:>9} {:>12} {:>10}  traffic",
         "network",
         "nodes",
         "links",
@@ -1057,10 +1071,11 @@ fn run() -> Result<(), BenchError> {
         "rss MB"
     );
     let mut rungs = Vec::new();
-    for &d in ladder {
-        let rung = scale_rung(d, packets, window)?;
+    let runs = ladder.iter().map(|&d| (d, uniform.clone()));
+    for (d, traffic) in runs.chain([(26, hot_spot.clone())]) {
+        let rung = scale_rung(d, traffic)?;
         println!(
-            "{:<7} {:>9} {:>10} {:>10.1} {:>12.0} {:>9.4} {:>9.1} {:>12.0} {:>10}",
+            "{:<7} {:>9} {:>10} {:>10.1} {:>12.0} {:>9.4} {:>9.1} {:>12.0} {:>10}  {}",
             rung.topology,
             rung.nodes,
             rung.links,
@@ -1071,11 +1086,12 @@ fn run() -> Result<(), BenchError> {
             rung.hops_per_sec,
             rung.peak_rss_bytes
                 .map_or_else(|| "n/a".to_string(), |b| format!("{}", b >> 20)),
+            rung.traffic,
         );
         rungs.push(rung);
     }
     let scale_ms = scale_start.elapsed().as_secs_f64() * 1e3;
-    let top = rungs.last().expect("ladder is non-empty");
+    let top = &rungs[ladder.len() - 1];
     assert!(
         top.d >= 26,
         "scale ladder must end at Γ_26 or beyond (got Γ_{})",
@@ -1219,9 +1235,8 @@ fn run() -> Result<(), BenchError> {
         (
             "workload",
             JsonValue::Str(format!(
-                "uniform {packets} packets / window {window} per rung, \
-                 implicit canonical routing, ladder Γ_{:?}",
-                ladder
+                "{uniform} per rung, implicit canonical routing, ladder Γ_{ladder:?}, \
+                 then {hot_spot} on Γ_26"
             )),
         ),
         (

@@ -1,35 +1,42 @@
 //! The arena-backed storage core of the simulation engine: a
-//! struct-of-arrays in-flight packet slab ([`PacketSlab`]) and fixed-stride
-//! ring-buffer link FIFOs ([`LinkQueues`]).
+//! struct-of-arrays in-flight packet slab ([`PacketSlab`]) and
+//! occupancy-sized ring-buffer FIFOs ([`LinkQueues`] for packets,
+//! [`FlitQueues`] for wormhole flits — one generic [`Fifos`] behind both).
 //!
 //! The first engine kept one heap-allocated `VecDeque` of 16-byte packet
 //! structs per directed link — ~2m independent allocations that appear and
 //! die over a run, every queue header on its own cache line, every queued
-//! packet moved by value on each hop. This module replaces that with two
-//! flat arenas:
+//! packet moved by value on each hop. This module replaces that with flat
+//! arenas whose size follows the traffic, not the network:
 //!
 //! * packets live in **one** slab for the whole run and are referred to by
 //!   `u32` id everywhere (queues, arrival lists), with a freelist so ids
 //!   are recycled as packets are delivered;
-//! * every directed link owns a fixed `RING_STRIDE`-slot window of one
-//!   shared ring array, indexed by the CSR directed-edge id. Pushing and
-//!   popping a shallow queue is a couple of loads and stores with no
-//!   allocation at all; queues deeper than the stride spill their tail to
-//!   a per-link overflow list (headers only — an overflow `VecDeque`
-//!   allocates on first use, i.e. only for links that actually saturate).
+//! * each queue owns only a 4-byte **handle**. Zero means idle, so the
+//!   handle column is a zeroed allocation whose pages fault in only where
+//!   traffic goes. A live handle indexes a freelisted pool of entries,
+//!   each an inline `RING_STRIDE`-slot ring plus its length and head, so
+//!   pushing and popping a shallow queue is a couple of loads and stores
+//!   with no allocation. A queue deeper than the ring spills its tail to
+//!   a pooled `VecDeque` the entry indexes directly (no hashing). A queue
+//!   that empties returns its entry to the freelist, and a drained spill
+//!   deque goes back to its pool with its capacity, so steady-state push
+//!   and pop allocate nothing.
 //!
-//! The occupancy column [`LinkQueues::loads`] doubles as the live load
-//! view the adaptive routers consult, so a whole node's output occupancy
-//! sits in one or two cache lines.
+//! Memory is therefore 4 B per queue plus O(occupied queues + spilled
+//! values), however large the network: at Γ_26 (4.7 M directed links)
+//! a run holds an 18 MiB handle column and a pool sized by the few
+//! hundred links that hold packets at once. [`Fifos::load`] doubles as
+//! the live load view the adaptive routers consult.
 
 use std::collections::VecDeque;
 
 /// Per-link ring capacity (slots), a power of two. Queues only grow past
 /// this under congestion, where the simulated network is the bottleneck
 /// anyway; at light and moderate load every FIFO operation stays inside
-/// the ring. Kept small deliberately: the ring arena is `4 · stride`
-/// bytes per directed link and the engine is cache-bound, so a lean ring
-/// beats a roomy one.
+/// the ring. Kept small deliberately: every live queue entry carries its
+/// ring inline and the engine is cache-bound, so a lean entry beats a
+/// roomy one.
 pub const RING_STRIDE: usize = 4;
 
 /// Sentinel for the [`PacketSlab::next_copy`] column: this packet chains
@@ -150,197 +157,198 @@ impl PacketSlab {
     }
 }
 
-/// Fixed-stride ring-buffer FIFOs, one per directed link, in a single
-/// contiguous arena indexed by CSR directed-edge id. Values are
-/// [`PacketSlab`] packet ids. See the [module docs](self) for the layout
-/// rationale and the overflow (saturation) behaviour.
+/// Handle of an idle queue. Index 0 of the entry pool is a permanently
+/// empty sentinel, so [`Fifos::load`] reads through any handle without a
+/// branch, and a zeroed handle column means "every queue idle".
+const IDLE: u32 = 0;
+
+/// [`Entry::spill`] value of a queue that fits its ring.
+const NO_SPILL: u32 = u32::MAX;
+
+/// One live FIFO: the inline ring plus, for a queue deeper than the
+/// ring, the index of its pooled spill deque. Aligned so that no packet
+/// entry (28 B of fields) straddles a cache line.
 #[derive(Clone, Debug)]
-pub struct LinkQueues {
-    /// `ring[e * RING_STRIDE + slot]` — the ring window of link `e`.
-    ring: Vec<u32>,
-    /// Front cursor of each link's ring, `0..RING_STRIDE`.
-    head: Vec<u32>,
-    /// Total occupancy per link (ring **plus** overflow) — also the load
-    /// figure adaptive routers see.
-    len: Vec<u32>,
-    /// Spill lists for links deeper than the ring, indexed by link id.
-    /// **Lazily sized**: empty until the first spill anywhere, so light
-    /// and moderate runs never pay for `links` deque headers, while
-    /// saturated runs pay once and then index directly (no hashing on
-    /// the congested path).
-    overflow: Vec<VecDeque<u32>>,
+#[repr(align(32))]
+struct Entry<T> {
+    ring: [T; RING_STRIDE],
+    /// Front cursor into `ring`, `0..RING_STRIDE`.
+    head: u32,
+    /// Total occupancy (ring **plus** spill) — also the load figure
+    /// adaptive routers see. Zero only for the sentinel and freelisted
+    /// entries.
+    len: u32,
+    spill: u32,
 }
+
+impl<T: Copy + Default> Entry<T> {
+    fn empty() -> Entry<T> {
+        Entry {
+            ring: [T::default(); RING_STRIDE],
+            head: 0,
+            len: 0,
+            spill: NO_SPILL,
+        }
+    }
+}
+
+/// Occupancy-sized FIFOs, one per queue index (a directed link, or a
+/// link × virtual-channel buffer). See the [module docs](self) for the
+/// memory model. [`LinkQueues`] and [`FlitQueues`] are its two
+/// instantiations.
+#[derive(Clone, Debug)]
+pub struct Fifos<T> {
+    /// Per-queue handle into `pool`, [`IDLE`] for an empty queue.
+    handle: Vec<u32>,
+    /// Live entries; `pool[0]` is the idle sentinel.
+    pool: Vec<Entry<T>>,
+    /// Retired `pool` indices, reused before the pool grows.
+    free: Vec<u32>,
+    /// Spill deques of the queues deeper than the ring.
+    spills: Vec<VecDeque<T>>,
+    /// Drained `spills` indices; their deques keep their capacity.
+    free_spills: Vec<u32>,
+}
+
+/// Packet FIFOs, one per directed link, holding [`PacketSlab`] ids and
+/// indexed by CSR directed-edge id.
+pub type LinkQueues = Fifos<u32>;
+
+/// Flit FIFOs for the wormhole engine, one per (directed link × virtual
+/// channel) buffer, holding packed `u64` flit records (see
+/// [`simulate_wormhole`](crate::simulator::simulate_wormhole)). The
+/// capacity a buffer advertises (`buf_flits`) is enforced *logically* by
+/// the engine's credit check, not by the allocation: a degenerate
+/// configuration with an effectively unbounded buffer costs no memory
+/// beyond the flits actually queued.
+pub type FlitQueues = Fifos<u64>;
 
 impl LinkQueues {
     /// Empty FIFOs for `links` directed links.
     pub fn new(links: usize) -> LinkQueues {
-        LinkQueues {
-            ring: vec![0; links * RING_STRIDE],
-            head: vec![0; links],
-            len: vec![0; links],
-            overflow: Vec::new(),
-        }
+        Fifos::with_queues(links)
     }
-
-    /// Number of links.
-    pub fn links(&self) -> usize {
-        self.len.len()
-    }
-
-    /// Enqueues packet `id` on link `e`.
-    #[inline]
-    pub fn push(&mut self, e: usize, id: u32) {
-        let l = self.len[e] as usize;
-        if l < RING_STRIDE {
-            let slot = (self.head[e] as usize + l) & (RING_STRIDE - 1);
-            self.ring[e * RING_STRIDE + slot] = id;
-        } else {
-            if self.overflow.is_empty() {
-                // First spill of the run: materialise the header column.
-                self.overflow = vec![VecDeque::new(); self.len.len()];
-            }
-            self.overflow[e].push_back(id);
-        }
-        self.len[e] = (l + 1) as u32;
-    }
-
-    /// Dequeues the front packet of link `e`, or `None` when it is idle.
-    #[inline]
-    pub fn pop(&mut self, e: usize) -> Option<u32> {
-        let l = self.len[e] as usize;
-        if l == 0 {
-            return None;
-        }
-        let head = self.head[e] as usize;
-        let id = self.ring[e * RING_STRIDE + head];
-        if l > RING_STRIDE {
-            // The ring was full: the eldest spilled packet is promoted into
-            // the slot just vacated, which (head + RING_STRIDE ≡ head) is
-            // exactly where FIFO order wants it. O(1), no shifting.
-            let promoted = self.overflow[e]
-                .pop_front()
-                .expect("occupancy beyond the stride implies a spill list");
-            self.ring[e * RING_STRIDE + head] = promoted;
-        }
-        self.head[e] = ((head + 1) & (RING_STRIDE - 1)) as u32;
-        self.len[e] = (l - 1) as u32;
-        Some(id)
-    }
-
-    /// Occupancy of link `e`.
-    #[inline]
-    pub fn load(&self, e: usize) -> usize {
-        self.len[e] as usize
-    }
-
-    /// The per-link occupancy column, indexed by directed-edge id — the
-    /// slice a node-local [`LinkLoad`](crate::router::LinkLoad) view
-    /// windows into.
-    #[inline]
-    pub fn loads(&self) -> &[u32] {
-        &self.len
-    }
-}
-
-/// Fixed-stride ring-buffer flit FIFOs for the wormhole engine: one
-/// buffer per (directed link × virtual channel), in a single contiguous
-/// arena, holding packed `u64` flit records
-/// (see [`simulate_wormhole`](crate::simulator::simulate_wormhole)).
-///
-/// The layout is [`LinkQueues`]' exactly — `RING_STRIDE` slots per buffer
-/// with lazily materialised overflow spill — because the capacity a
-/// wormhole buffer advertises (`buf_flits`) is enforced *logically* by the
-/// engine's credit check, not by the ring allocation: a degenerate
-/// configuration with an effectively unbounded buffer costs no memory
-/// beyond the flits actually queued.
-#[derive(Clone, Debug)]
-pub struct FlitQueues {
-    /// `ring[b * RING_STRIDE + slot]` — the ring window of buffer `b`,
-    /// where `b = edge * vcs + vc`.
-    ring: Vec<u64>,
-    /// Front cursor of each buffer's ring, `0..RING_STRIDE`.
-    head: Vec<u32>,
-    /// Total occupancy per buffer (ring **plus** overflow).
-    len: Vec<u32>,
-    /// Spill lists past the ring, lazily sized like [`LinkQueues`]'.
-    overflow: Vec<VecDeque<u64>>,
 }
 
 impl FlitQueues {
     /// Empty flit buffers for `links` directed links × `vcs` virtual
     /// channels. Buffer `b = edge * vcs + vc`.
     pub fn new(links: usize, vcs: usize) -> FlitQueues {
-        let buffers = links * vcs;
-        FlitQueues {
-            ring: vec![0; buffers * RING_STRIDE],
-            head: vec![0; buffers],
-            len: vec![0; buffers],
-            overflow: Vec::new(),
+        Fifos::with_queues(links * vcs)
+    }
+}
+
+impl<T: Copy + Default> Fifos<T> {
+    fn with_queues(queues: usize) -> Fifos<T> {
+        Fifos {
+            handle: vec![IDLE; queues],
+            pool: vec![Entry::empty()],
+            free: Vec::new(),
+            spills: Vec::new(),
+            free_spills: Vec::new(),
         }
     }
 
-    /// Number of (link × VC) buffers.
-    pub fn buffers(&self) -> usize {
-        self.len.len()
+    /// Number of queues.
+    pub fn queues(&self) -> usize {
+        self.handle.len()
     }
 
-    /// Enqueues flit record `f` on buffer `b`.
+    /// Enqueues `v` on queue `q`.
     #[inline]
-    pub fn push(&mut self, b: usize, f: u64) {
-        let l = self.len[b] as usize;
-        if l < RING_STRIDE {
-            let slot = (self.head[b] as usize + l) & (RING_STRIDE - 1);
-            self.ring[b * RING_STRIDE + slot] = f;
-        } else {
-            if self.overflow.is_empty() {
-                self.overflow = vec![VecDeque::new(); self.len.len()];
-            }
-            self.overflow[b].push_back(f);
+    pub fn push(&mut self, q: usize, v: T) {
+        let mut h = self.handle[q];
+        if h == IDLE {
+            h = self.free.pop().unwrap_or_else(|| {
+                self.pool.push(Entry::empty());
+                (self.pool.len() - 1) as u32
+            });
+            self.handle[q] = h;
         }
-        self.len[b] = (l + 1) as u32;
+        let entry = &mut self.pool[h as usize];
+        let l = entry.len as usize;
+        if l < RING_STRIDE {
+            entry.ring[(entry.head as usize + l) & (RING_STRIDE - 1)] = v;
+        } else {
+            if entry.spill == NO_SPILL {
+                entry.spill = self.free_spills.pop().unwrap_or_else(|| {
+                    self.spills.push(VecDeque::new());
+                    (self.spills.len() - 1) as u32
+                });
+            }
+            self.spills[entry.spill as usize].push_back(v);
+        }
+        entry.len += 1;
     }
 
-    /// The front flit of buffer `b` without dequeuing it — what the
+    /// The front value of queue `q` without dequeuing it — what the
     /// wormhole forward phase inspects to decide whether the flit can
     /// advance before spending the link's cycle on it.
     #[inline]
-    pub fn front(&self, b: usize) -> Option<u64> {
-        if self.len[b] == 0 {
-            return None;
-        }
-        Some(self.ring[b * RING_STRIDE + self.head[b] as usize])
+    pub fn front(&self, q: usize) -> Option<T> {
+        let entry = &self.pool[self.handle[q] as usize];
+        (entry.len > 0).then(|| entry.ring[entry.head as usize & (RING_STRIDE - 1)])
     }
 
-    /// Dequeues the front flit of buffer `b`, or `None` when it is idle.
+    /// Dequeues the front value of queue `q`, or `None` when it is idle.
+    /// A queue that empties returns its entry (and a drained spill deque
+    /// its deque) to the pool.
     #[inline]
-    pub fn pop(&mut self, b: usize) -> Option<u64> {
-        let l = self.len[b] as usize;
-        if l == 0 {
+    pub fn pop(&mut self, q: usize) -> Option<T> {
+        let h = self.handle[q];
+        if h == IDLE {
             return None;
         }
-        let head = self.head[b] as usize;
-        let f = self.ring[b * RING_STRIDE + head];
-        if l > RING_STRIDE {
-            let promoted = self.overflow[b]
+        let entry = &mut self.pool[h as usize];
+        let head = entry.head as usize & (RING_STRIDE - 1);
+        let v = entry.ring[head];
+        if entry.len as usize > RING_STRIDE {
+            // The ring was full: the eldest spilled value is promoted into
+            // the slot just vacated, which (head + RING_STRIDE ≡ head) is
+            // exactly where FIFO order wants it. O(1), no shifting.
+            let spill = &mut self.spills[entry.spill as usize];
+            entry.ring[head] = spill
                 .pop_front()
-                .expect("occupancy beyond the stride implies a spill list");
-            self.ring[b * RING_STRIDE + head] = promoted;
+                .expect("occupancy beyond the stride implies a spill deque");
+            if spill.is_empty() {
+                self.free_spills.push(entry.spill);
+                entry.spill = NO_SPILL;
+            }
         }
-        self.head[b] = ((head + 1) & (RING_STRIDE - 1)) as u32;
-        self.len[b] = (l - 1) as u32;
-        Some(f)
+        entry.head = ((head + 1) & (RING_STRIDE - 1)) as u32;
+        entry.len -= 1;
+        if entry.len == 0 {
+            self.free.push(h);
+            self.handle[q] = IDLE;
+        }
+        Some(v)
     }
 
-    /// Occupancy of buffer `b`.
+    /// Occupancy of queue `q`.
     #[inline]
-    pub fn load(&self, b: usize) -> usize {
-        self.len[b] as usize
+    pub fn load(&self, q: usize) -> usize {
+        self.pool[self.handle[q] as usize].len as usize
+    }
+
+    /// Entries ever allocated, the idle sentinel included — the pool's
+    /// high-water mark of simultaneously occupied queues, plus one.
+    #[cfg(test)]
+    pub(crate) fn pool_len(&self) -> usize {
+        self.pool.len()
+    }
+
+    /// Spill deques ever allocated — the high-water mark of queues
+    /// simultaneously deeper than the ring.
+    #[cfg(test)]
+    pub(crate) fn spill_pool_len(&self) -> usize {
+        self.spills.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn slab_recycles_ids() {
@@ -418,7 +426,7 @@ mod tests {
     fn flit_queues_front_pop_and_spill_stay_fifo() {
         // Two links × two VCs; buffer index = edge * vcs + vc.
         let mut q = FlitQueues::new(2, 2);
-        assert_eq!(q.buffers(), 4);
+        assert_eq!(q.queues(), 4);
         let b = 3; // edge 1, vc 1
         let total = 3 * RING_STRIDE as u64;
         for f in 0..total {
@@ -438,15 +446,138 @@ mod tests {
     }
 
     #[test]
-    fn loads_column_tracks_total_occupancy() {
+    fn load_tracks_total_occupancy() {
         let mut q = LinkQueues::new(4);
         for id in 0..(RING_STRIDE as u32 + 3) {
             q.push(2, id);
         }
         assert_eq!(q.load(2), RING_STRIDE + 3, "overflow counts toward load");
-        assert_eq!(q.loads()[2] as usize, q.load(2));
-        assert_eq!(q.links(), 4);
+        assert_eq!(q.load(1), 0, "idle queues read the sentinel");
+        assert_eq!(q.queues(), 4);
         q.pop(2);
         assert_eq!(q.load(2), RING_STRIDE + 2);
+    }
+
+    #[test]
+    fn one_deep_link_allocates_o1_pool_state_on_a_huge_network() {
+        // The allocation cliff: one saturated link on a Γ_30-sized link
+        // count must not materialise per-link queue state.
+        let mut q = LinkQueues::new(1 << 22);
+        let hot = (1 << 22) - 1;
+        let depth = 16 * RING_STRIDE as u32;
+        for id in 0..depth {
+            q.push(hot, id);
+        }
+        assert_eq!(q.load(hot), depth as usize);
+        assert_eq!(q.pool_len(), 2, "sentinel plus the one live entry");
+        assert_eq!(q.spill_pool_len(), 1, "one spill deque for one deep link");
+        for id in 0..depth {
+            assert_eq!(q.pop(hot), Some(id));
+        }
+        // Drained: entry and deque are recycled, not reallocated.
+        for round in 0..3 {
+            for id in 0..depth {
+                q.push(round, id);
+            }
+            while q.pop(round).is_some() {}
+        }
+        assert_eq!((q.pool_len(), q.spill_pool_len()), (2, 1));
+    }
+
+    /// SplitMix64 step, so one drawn seed expands into a whole operation
+    /// sequence (the proptest shim draws scalars, not collections).
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Replays `ops` random push/pop/front/load operations over `queues`
+    /// queues against a `Vec<VecDeque>` model. `push_bias` (out of 8)
+    /// sets how often an operation pushes, so depths wander past the ring
+    /// and back to idle. Returns the deepest queue seen.
+    fn replay_against_model<T>(
+        q: &mut Fifos<T>,
+        seed: u64,
+        ops: usize,
+        push_bias: u64,
+        value: impl Fn(u64) -> T,
+    ) -> Result<usize, TestCaseError>
+    where
+        T: Copy + Default + PartialEq + std::fmt::Debug,
+    {
+        let mut model: Vec<VecDeque<T>> = vec![VecDeque::new(); q.queues()];
+        let mut state = seed;
+        let mut deepest = 0;
+        for _ in 0..ops {
+            let r = next(&mut state);
+            let i = (r % model.len() as u64) as usize;
+            match (r >> 32) % 8 {
+                k if k < push_bias => {
+                    let v = value(next(&mut state));
+                    q.push(i, v);
+                    model[i].push_back(v);
+                    deepest = deepest.max(model[i].len());
+                }
+                k if k < 7 => prop_assert_eq!(q.pop(i), model[i].pop_front()),
+                _ => prop_assert_eq!(q.front(i), model[i].front().copied()),
+            }
+            prop_assert_eq!(q.load(i), model[i].len());
+        }
+        for (i, m) in model.iter_mut().enumerate() {
+            while let Some(v) = m.pop_front() {
+                prop_assert_eq!(q.pop(i), Some(v));
+            }
+            prop_assert_eq!(q.pop(i), None);
+            prop_assert_eq!(q.load(i), 0);
+        }
+        Ok(deepest)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn link_queues_match_a_vecdeque_model(
+            seed in 0u64..u64::MAX,
+            links in 1usize..5,
+            push_bias in 3u64..6,
+        ) {
+            let mut q = LinkQueues::new(links);
+            // Two passes: the second runs on recycled entries and deques.
+            for pass in 0..2 {
+                replay_against_model(&mut q, seed ^ pass, 400, push_bias, |r| r as u32)?;
+            }
+            prop_assert!(q.pool_len() <= links + 1, "one entry per queue at most");
+            prop_assert!(q.spill_pool_len() <= links);
+        }
+
+        #[test]
+        fn flit_queues_match_a_vecdeque_model(
+            seed in 0u64..u64::MAX,
+            links in 1usize..3,
+            vcs in 1usize..3,
+            push_bias in 3u64..6,
+        ) {
+            let mut q = FlitQueues::new(links, vcs);
+            for pass in 0..2 {
+                replay_against_model(&mut q, seed ^ pass, 400, push_bias, |r| r)?;
+            }
+            prop_assert!(q.pool_len() <= links * vcs + 1);
+            prop_assert!(q.spill_pool_len() <= links * vcs);
+        }
+    }
+
+    #[test]
+    fn model_replay_reaches_past_the_ring() {
+        // Guards the generator: a push-heavy replay must drive some queue
+        // deep enough to spill, or the proptests above never exercise the
+        // spill pool.
+        let mut q = LinkQueues::new(2);
+        let deepest = replay_against_model(&mut q, 7, 400, 5, |r| r as u32).unwrap();
+        assert!(deepest > 2 * RING_STRIDE, "deepest queue {deepest}");
+        assert!(q.spill_pool_len() >= 1);
     }
 }

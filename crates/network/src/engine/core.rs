@@ -20,16 +20,38 @@ use super::policy::{FaultPolicy, ReplicationPolicy};
 use super::stats::{DropReason, SimStats, StatsAcc};
 use super::stepper::{lane_bounds, run_lane, LaneWorkload, Solo};
 
+/// Live occupancy per directed link, indexed by lane-local edge id: the
+/// store-and-forward [`LinkQueues`] themselves, or the wormhole engine's
+/// `link_load` mirror.
+pub(crate) trait EdgeLoads {
+    fn edge_load(&self, e: usize) -> usize;
+}
+
+impl EdgeLoads for LinkQueues {
+    #[inline]
+    fn edge_load(&self, e: usize) -> usize {
+        self.load(e)
+    }
+}
+
+impl EdgeLoads for [u32] {
+    #[inline]
+    fn edge_load(&self, e: usize) -> usize {
+        self[e] as usize
+    }
+}
+
 /// Occupancy view of one node's output links, handed to adaptive routers:
-/// a window into the [`LinkQueues`] occupancy column.
-pub(crate) struct NodeLoad<'a> {
-    pub(crate) loads: &'a [u32],
+/// a window into an [`EdgeLoads`] source starting at the node's first
+/// out-edge.
+pub(crate) struct NodeLoad<'a, L: ?Sized> {
+    pub(crate) loads: &'a L,
     pub(crate) base: usize,
 }
 
-impl LinkLoad for NodeLoad<'_> {
+impl<L: EdgeLoads + ?Sized> LinkLoad for NodeLoad<'_, L> {
     fn load(&self, slot: usize) -> usize {
-        self.loads[self.base + slot] as usize
+        self.loads.edge_load(self.base + slot)
     }
 }
 
@@ -96,13 +118,13 @@ where
 /// Resolves the output edge for one hop — [`Core::route_and_enqueue`]'s
 /// routing half, shared with the wormhole engine (which reserves buffers
 /// instead of enqueuing packets). `loads` is the caller's link-load
-/// column indexed from global edge `edge_lo` (0 for a whole-network
+/// view indexed from global edge `edge_lo` (0 for a whole-network
 /// view); the returned edge id is global.
 #[inline]
-pub(crate) fn route_edge<R: Router + ?Sized>(
+pub(crate) fn route_edge<R: Router + ?Sized, L: EdgeLoads + ?Sized>(
     g: &CsrGraph,
     routing: Routing<'_, R>,
-    loads: &[u32],
+    loads: &L,
     edge_lo: usize,
     node: u32,
     dst: u32,
@@ -245,14 +267,7 @@ impl<'g, O: SimObserver> Core<'g, O> {
         dst: u32,
     ) {
         let base = self.g.edge_range(node).start;
-        let e = route_edge(
-            self.g,
-            routing,
-            self.queues.loads(),
-            self.edge_lo,
-            node,
-            dst,
-        );
+        let e = route_edge(self.g, routing, &self.queues, self.edge_lo, node, dst);
         self.enqueue(node, base, e, id);
     }
 

@@ -36,12 +36,14 @@
 //! All per-packet and per-link state lives in flat arrays (see
 //! [`arena`](crate::arena)): in-flight packets sit in a struct-of-arrays
 //! [`PacketSlab`](crate::arena::PacketSlab) and are referred to by `u32`
-//! id, and every directed link owns a fixed-stride ring-buffer FIFO in
-//! one contiguous [`LinkQueues`](crate::arena::LinkQueues) arena indexed
-//! by the graph's directed-edge index, spilling to an overflow list only
-//! when a link saturates. Each cycle touches only the worklist of nodes
-//! that actually hold packets, and empty stretches between injections
-//! are skipped entirely.
+//! id, and the [`LinkQueues`](crate::arena::LinkQueues) give every
+//! directed link (by the graph's directed-edge index) a 4-byte handle
+//! into a freelisted pool of ring-buffer FIFO entries, held only while
+//! the link has packets queued; a queue deeper than its ring spills to
+//! a pooled deque. Queue memory is thus 4 B per link plus O(occupied
+//! links and spilled packets), not a per-link arena. Each cycle touches
+//! only the worklist of nodes that actually hold packets, and empty
+//! stretches between injections are skipped entirely.
 //!
 //! Routing takes one of two monomorphized paths: when the workload
 //! amortises the build, deterministic policies are tabulated once into a

@@ -296,7 +296,7 @@ impl<'a, R: Router + ?Sized, F: FaultPolicy, O: SimObserver> WormLane<'a, R, F, 
         let i = id as usize;
         let src = self.worm.src[i];
         let dst = self.slab.dst(id);
-        let e0 = route_edge(self.g, self.routing, &self.link_load, 0, src, dst);
+        let e0 = route_edge(self.g, self.routing, &self.link_load[..], 0, src, dst);
         let b0 = e0 * self.vcs;
         let multi = self.worm.flits_total[i] > 1;
         if multi && self.claimed[b0] != NO_CLAIM {
@@ -527,7 +527,7 @@ impl<R: Router + ?Sized, F: FaultPolicy, O: SimObserver> LaneWorkload for WormLa
                 self.pop_flit(cycle, m.node, e, m.vc, f, true);
                 self.arrivals.push((f, EJECT, v));
             } else {
-                let e2 = route_edge(self.g, self.routing, &self.link_load, 0, v, dst);
+                let e2 = route_edge(self.g, self.routing, &self.link_load[..], 0, v, dst);
                 let c2 = self.edge_class[e2];
                 let mut lvl = self.worm.level[i];
                 if c2 <= self.worm.last_class[i] {

@@ -33,7 +33,8 @@
 //! * [`simulator`] — source-compatibility facade re-exporting the
 //!   engine's entry points under their historical paths;
 //! * [`arena`] — the engine's storage core: the struct-of-arrays
-//!   [`PacketSlab`] and the fixed-stride ring-buffer [`LinkQueues`];
+//!   [`PacketSlab`] and the occupancy-sized ring-buffer [`LinkQueues`]
+//!   (4 B per directed link plus O(occupied links + spilled packets));
 //! * [`implicit`] — million-node scale: [`ImplicitRouter`] computes
 //!   canonical-path and e-cube hops straight from Zeckendorf address
 //!   arithmetic (`O(d)` time, `O(d)` total state — no `O(n²)` table,

@@ -1,12 +1,12 @@
 //! Bench: the store-and-forward simulator (experiment E-N4) — the
-//! active-set engine vs the seed's full-scan reference engine across
-//! topologies under uniform load, the `Experiment` wrapper (which must
-//! cost nothing beyond the engine), and one large-scale sweep-shaped run.
+//! active-set engine, run through `Experiment` (traffic generation and
+//! router resolution included), vs the seed's full-scan reference engine
+//! across topologies under uniform load, and one large-scale
+//! sweep-shaped run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fibcube_network::{
-    simulate, simulate_reference, simulate_with, Experiment, FibonacciNet, Hypercube, Mesh,
-    Topology, TrafficSpec,
+    simulate_reference, Experiment, FibonacciNet, Hypercube, Mesh, Topology, TrafficSpec,
 };
 
 fn bench_simulator(c: &mut Criterion) {
@@ -24,16 +24,8 @@ fn bench_simulator(c: &mut Criterion) {
     for t in &topos {
         let pkts = traffic.generate(t.len(), 11);
         group.bench_function(BenchmarkId::new("active_set", t.name()), |b| {
-            b.iter(|| {
-                let s = simulate(t.as_ref(), &pkts, 1_000_000);
-                assert_eq!(s.delivered, s.offered);
-                std::hint::black_box(s.mean_latency)
-            })
-        });
-        group.bench_function(BenchmarkId::new("experiment", t.name()), |b| {
-            // The builder path: traffic generation + router resolution +
-            // engine. Must track `active_set` closely — the no-op
-            // observer monomorphizes away.
+            // The one door: traffic generation + router resolution +
+            // engine; the no-op observer monomorphizes away.
             b.iter(|| {
                 let report = Experiment::on(t.as_ref())
                     .traffic(traffic.clone())
@@ -63,14 +55,19 @@ fn bench_simulator_large(c: &mut Criterion) {
     let gamma = FibonacciNet::classical(16);
     let q = Hypercube::new(11);
     for t in [&gamma as &dyn Topology, &q] {
-        let pkts = TrafficSpec::Bernoulli {
+        let traffic = TrafficSpec::Bernoulli {
             rate: 0.05,
             cycles: 400,
-        }
-        .generate(t.len(), 3);
+        };
         group.bench_function(BenchmarkId::new("bernoulli_0.05", t.name()), |b| {
             b.iter(|| {
-                let s = simulate_with(t, &*t.router(), &pkts, 100_000);
+                let s = Experiment::on(t)
+                    .traffic(traffic.clone())
+                    .seed(3)
+                    .cycles(100_000)
+                    .run()
+                    .expect("preferred router resolves")
+                    .stats;
                 assert_eq!(s.delivered, s.offered);
                 std::hint::black_box(s.mean_latency)
             })

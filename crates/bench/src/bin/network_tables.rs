@@ -10,8 +10,7 @@ use fibcube_network::fault::{fault_sweep, FaultSpec};
 use fibcube_network::hamilton::{hamiltonian_path, verify_hamiltonian, HamiltonResult};
 use fibcube_network::metrics::metrics;
 use fibcube_network::{
-    simulate, CollectiveSpec, Experiment, FibonacciNet, Hypercube, Mesh, Port, Ring, Topology,
-    TrafficSpec,
+    CollectiveSpec, Experiment, FibonacciNet, Hypercube, Mesh, Port, Ring, Topology, TrafficSpec,
 };
 
 fn main() {
@@ -107,24 +106,29 @@ fn main() {
         "network", "uni mean", "uni p99", "hotspot mean", "hotspot p99"
     );
     for t in &topos {
-        let uni = simulate(
-            *t,
-            &TrafficSpec::Uniform {
+        let run = |traffic: TrafficSpec, seed: u64| {
+            Experiment::on(*t)
+                .traffic(traffic)
+                .seed(seed)
+                .cycles(500_000)
+                .run()
+                .expect("preferred router resolves on every topology")
+                .stats
+        };
+        let uni = run(
+            TrafficSpec::Uniform {
                 count: 2000,
                 window: 400,
-            }
-            .generate(t.len(), 1),
-            500_000,
+            },
+            1,
         );
-        let hot = simulate(
-            *t,
-            &TrafficSpec::HotSpot {
+        let hot = run(
+            TrafficSpec::HotSpot {
                 count: 2000,
                 window: 400,
                 hot_fraction: 0.3,
-            }
-            .generate(t.len(), 2),
-            500_000,
+            },
+            2,
         );
         assert_eq!(uni.delivered, uni.offered);
         assert_eq!(hot.delivered, hot.offered);

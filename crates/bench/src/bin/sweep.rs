@@ -45,22 +45,22 @@
 //! engine-speedup bar and the `engine_perf` section are asserted in both
 //! modes. (Speedup is a same-machine ratio, so the bar is meaningful on
 //! slow CI hosts too.) The `engine_perf` section also carries a
-//! `parallel` block: the Γ_16 fixed load re-run through the sharded
-//! engine at 1/2/4/8 threads — store-and-forward, wormhole, and
-//! tree-collective ladders (bit-identical stats enforced at every rung;
-//! the ≥2× speedup bar at 8 threads is asserted only on hosts with ≥8
-//! CPUs, and the `asserted` flag records which case ran).
+//! `parallel` block: the Γ_16 fixed load re-run as `Experiment`s with
+//! `threads(1/2/4/8)` — store-and-forward, wormhole, and tree-collective
+//! ladders (bit-identical reports enforced at every rung; each rung's
+//! time includes the experiment's set-up; the ≥2× speedup bar at 8
+//! threads is asserted only on hosts with ≥8 CPUs, and the `asserted`
+//! flag records which case ran).
 //!
 //! Pass `--check-threads N` for the standalone determinism check CI
 //! runs as a thread matrix: the Γ_16 fixed load — healthy, statically
 //! faulted, under a mid-run churn timeline, through the wormhole flit
-//! engine, and as a tree collective — serial vs `N` shard workers, full
-//! `SimStats` equality or exit 1.
+//! engine, and as a tree collective — at one lane vs `N`, full
+//! `SimStats` and collective-outcome equality or exit 1.
 
 use std::time::Instant;
 
 use fibcube_bench::{header, BenchError};
-use fibcube_network::fault::{ChurnTimeline, FaultSet};
 use fibcube_network::report::JsonValue;
 use fibcube_network::sweep::{
     churn_sweep, collective_sweep, fault_load_sweep, injection_sweep, rate_ladder,
@@ -68,10 +68,9 @@ use fibcube_network::sweep::{
     SwitchingGrid,
 };
 use fibcube_network::{
-    broadcast_one_port, simulate_parallel, simulate_parallel_churn, simulate_parallel_collective,
-    simulate_parallel_wormhole, simulate_reference, CollectiveSpec, CopyPlan, Experiment,
-    FibonacciNet, Hypercube, ImplicitFibonacciNet, Mesh, NoopObserver, Port, Report, Ring,
-    RouterSpec, SweepCurve, SwitchingSpec, Topology, TrafficSpec,
+    simulate_reference, CollectiveOutcome, CollectiveSpec, Experiment, FaultSpec, FibonacciNet,
+    Hypercube, ImplicitFibonacciNet, Mesh, Port, Report, Ring, RouterSpec, SimStats, SweepCurve,
+    SwitchingSpec, Topology, TrafficSpec,
 };
 
 struct FixedLoadRow {
@@ -562,123 +561,107 @@ fn ladder_json(workload: String, rows: &[(usize, f64)], asserted: bool) -> JsonV
     ])
 }
 
-/// The `--check-threads N` mode: one Γ_16 fixed-load workload, healthy
-/// and degraded, run serially and through the sharded engine at
-/// `threads` workers. Any divergence in the full `SimStats` (histograms
-/// included) is a typed error — the CI thread matrix turns this into a
-/// determinism gate that is independent of host speed.
+/// What the thread gate compares: a report's statistics and its
+/// collective outcome.
+type Outcome = (SimStats, Option<CollectiveOutcome>);
+
+/// Runs a configuration known to be valid at `threads` lanes.
+fn outcome(e: &Experiment<'_, FibonacciNet>, threads: usize) -> Outcome {
+    let report = e
+        .clone()
+        .threads(threads)
+        .run()
+        .expect("valid Γ_16 configuration");
+    (report.stats, report.collective)
+}
+
+/// The Γ_16 fixed load of the `--check-threads` gate and the thread
+/// ladders: `traffic` at seed 2026 under the preferred router.
+fn fixed_load_on(
+    gamma: &FibonacciNet,
+    traffic: TrafficSpec,
+    cycles: u64,
+) -> Experiment<'_, FibonacciNet> {
+    Experiment::on(gamma)
+        .traffic(traffic)
+        .seed(2026)
+        .cycles(cycles)
+}
+
+/// The `--check-threads N` mode: the Γ_16 fixed load — healthy and
+/// degraded, under churn, through the wormhole flit engine, and as a
+/// one-port broadcast collective — run at one lane and at `threads`.
+/// Any divergence in the report (full `SimStats`, histograms included,
+/// plus the collective outcome) is a typed error — the CI thread matrix
+/// turns this into a determinism gate that is independent of host speed.
 fn check_threads(threads: usize) -> Result<(), BenchError> {
     let gamma = FibonacciNet::classical(16);
-    let pkts = TrafficSpec::Uniform {
+    let uniform = TrafficSpec::Uniform {
         count: 5_000,
         window: 1_000,
-    }
-    .generate(gamma.len(), 2026);
-    let router = gamma.router();
-    let cap = 4_000_000;
+    };
     let dead_nodes: Vec<u32> = (1..=40u32).map(|i| i * 37).collect();
-    for faults in [
-        FaultSet::default(),
-        FaultSet::new(dead_nodes, [(0u32, 1u32)]),
-    ] {
-        let serial = simulate_parallel(&gamma, &*router, &faults, &pkts, cap, 1);
-        let sharded = simulate_parallel(&gamma, &*router, &faults, &pkts, cap, threads);
-        if sharded != serial {
-            return Err(BenchError::ThreadCountMismatch {
-                topology: gamma.name(),
-                threads,
-            });
-        }
-        println!(
-            "check-threads: Γ_16 fixed load ({} faults) at {threads} threads ≡ serial \
-             (full SimStats, histograms included)",
-            faults.failed_nodes().len()
-        );
-    }
-    // The churned configuration: a seeded mid-run fail/recover timeline
-    // applied at cycle boundaries — the dynamic engine must shard
-    // bit-identically too.
-    let timeline = ChurnTimeline::generate(gamma.graph(), 0.002, 0.002, 300.0, 2026, 10_000);
-    let serial = simulate_parallel_churn(&gamma, &*router, &timeline, &pkts, cap, 1);
-    let sharded = simulate_parallel_churn(&gamma, &*router, &timeline, &pkts, cap, threads);
-    if sharded != serial {
-        return Err(BenchError::ThreadCountMismatch {
-            topology: gamma.name(),
-            threads,
-        });
-    }
-    println!(
-        "check-threads: Γ_16 fixed load under churn ({} timeline events) at {threads} \
-         threads ≡ serial (full SimStats, histograms included)",
-        timeline.len()
-    );
-    // The wormhole configuration: the flit engine sharded under
-    // replicated arbitration, healthy and statically faulted. A smaller
-    // packet budget keeps the flit-level run CI-sized.
-    let worm_spec = SwitchingSpec::Wormhole {
+    let degraded = FaultSpec::Mixed(vec![
+        FaultSpec::NodeList(dead_nodes),
+        FaultSpec::LinkList(vec![(0, 1)]),
+    ]);
+    // A smaller packet budget keeps the flit-level run CI-sized.
+    let worm = fixed_load_on(
+        &gamma,
+        TrafficSpec::Uniform {
+            count: 2_000,
+            window: 500,
+        },
+        4_000_000,
+    )
+    .switching(SwitchingSpec::Wormhole {
         flit_size: 4,
         vcs: 2,
         buf_flits: 4,
-    };
-    let worm_pkts = TrafficSpec::Uniform {
-        count: 2_000,
-        window: 500,
-    }
-    .generate(gamma.len(), 2026);
-    let dead_nodes: Vec<u32> = (1..=40u32).map(|i| i * 37).collect();
-    for faults in [
-        FaultSet::default(),
-        FaultSet::new(dead_nodes, [(0u32, 1u32)]),
-    ] {
-        let serial = simulate_parallel_wormhole(
-            &gamma,
-            &*router,
-            &worm_spec,
-            &faults,
-            &worm_pkts,
-            cap,
-            1,
-            &mut NoopObserver,
-        );
-        let sharded = simulate_parallel_wormhole(
-            &gamma,
-            &*router,
-            &worm_spec,
-            &faults,
-            &worm_pkts,
-            cap,
-            threads,
-            &mut NoopObserver,
-        );
-        if sharded != serial {
+    });
+    let cases = [
+        (
+            "fixed load (0 faults)",
+            fixed_load_on(&gamma, uniform.clone(), 4_000_000),
+        ),
+        (
+            "fixed load (40 faults)",
+            fixed_load_on(&gamma, uniform.clone(), 4_000_000).faults(degraded.clone()),
+        ),
+        // A seeded mid-run fail/recover timeline over the run's horizon,
+        // applied at cycle boundaries.
+        (
+            "fixed load under churn",
+            fixed_load_on(&gamma, uniform, 10_000).faults(FaultSpec::Churn {
+                node_rate: 0.002,
+                link_rate: 0.002,
+                mttr: 300.0,
+            }),
+        ),
+        ("wormhole (0 faults)", worm.clone()),
+        ("wormhole (40 faults)", worm.faults(degraded)),
+        (
+            "one-port broadcast collective",
+            Experiment::on(&gamma)
+                .collective(CollectiveSpec::Broadcast {
+                    source: 0,
+                    port: Port::One,
+                })
+                .cycles(4_000_000),
+        ),
+    ];
+    for (label, e) in &cases {
+        if outcome(e, threads) != outcome(e, 1) {
             return Err(BenchError::ThreadCountMismatch {
                 topology: gamma.name(),
                 threads,
             });
         }
         println!(
-            "check-threads: Γ_16 wormhole ({} faults) at {threads} threads ≡ serial \
-             (full SimStats, histograms included)",
-            faults.failed_nodes().len()
+            "check-threads: Γ_16 {label} at {threads} threads ≡ one lane \
+             (full SimStats, histograms and collective outcome included)"
         );
     }
-    // The collective configuration: a one-port broadcast tree executed
-    // by replication, sharded by spawning-node ownership.
-    let schedule =
-        broadcast_one_port(&gamma, 0).expect("healthy Γ_16 always schedules a broadcast");
-    let plan = CopyPlan::from_schedule(gamma.graph(), &schedule, true);
-    let serial = simulate_parallel_collective(&gamma, &plan, cap, 1, &mut NoopObserver);
-    let sharded = simulate_parallel_collective(&gamma, &plan, cap, threads, &mut NoopObserver);
-    if sharded != serial {
-        return Err(BenchError::ThreadCountMismatch {
-            topology: gamma.name(),
-            threads,
-        });
-    }
-    println!(
-        "check-threads: Γ_16 one-port broadcast collective at {threads} threads ≡ serial \
-         (full SimStats and reached-target tally)"
-    );
     Ok(())
 }
 
@@ -777,26 +760,20 @@ fn run() -> Result<(), BenchError> {
     // is meaningless on the 1-CPU containers CI sometimes lands on, so
     // it is recorded but not asserted there).
     let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let parallel_pkts = TrafficSpec::Uniform {
-        count: packets,
-        window,
-    }
-    .generate(gamma.len(), 2026);
-    let gamma_router = gamma.router();
-    let no_faults = FaultSet::default();
     let parallel_asserted = host_cpus >= 8;
     println!("host CPUs: {host_cpus}");
 
-    let ladder_rows = thread_ladder(&gamma.name(), host_cpus, true, |t| {
-        simulate_parallel(
-            &gamma,
-            &*gamma_router,
-            &no_faults,
-            &parallel_pkts,
-            4_000_000,
-            t,
-        )
-    })?;
+    // Each rung times one whole `Experiment::run`: set-up (traffic
+    // generation, router resolution) plus the engine.
+    let saf = fixed_load_on(
+        &gamma,
+        TrafficSpec::Uniform {
+            count: packets,
+            window,
+        },
+        4_000_000,
+    );
+    let ladder_rows = thread_ladder(&gamma.name(), host_cpus, true, |t| outcome(&saf, t))?;
     print_ladder("store-and-forward", &ladder_rows);
     let serial_ms = ladder_rows[0].1;
     let speedup_at_8 = parallel_speedup(&ladder_rows, 8);
@@ -817,23 +794,12 @@ fn run() -> Result<(), BenchError> {
         vcs: 2,
         buf_flits: 4,
     };
-    let worm_pkts = TrafficSpec::Uniform {
+    let worm_traffic = TrafficSpec::Uniform {
         count: 2_000,
         window: 500,
-    }
-    .generate(gamma.len(), 2026);
-    let worm_rows = thread_ladder(&gamma.name(), host_cpus, true, |t| {
-        simulate_parallel_wormhole(
-            &gamma,
-            &*gamma_router,
-            &worm_spec,
-            &no_faults,
-            &worm_pkts,
-            4_000_000,
-            t,
-            &mut NoopObserver,
-        )
-    })?;
+    };
+    let worm = fixed_load_on(&gamma, worm_traffic, 4_000_000).switching(worm_spec.clone());
+    let worm_rows = thread_ladder(&gamma.name(), host_cpus, true, |t| outcome(&worm, t))?;
     print_ladder("wormhole (flit_size=4, vcs=2, buf_flits=4)", &worm_rows);
     let worm_speedup_at_8 = parallel_speedup(&worm_rows, 8);
     if parallel_asserted && worm_speedup_at_8 < 2.0 {
@@ -848,12 +814,13 @@ fn run() -> Result<(), BenchError> {
     // replication. Recorded but never asserted — the whole workload is
     // n−1 copies over ~log n rounds, small enough that barrier overhead
     // legitimately dominates; the determinism gate still holds per rung.
-    let bcast_schedule =
-        broadcast_one_port(&gamma, 0).expect("healthy Γ_16 always schedules a broadcast");
-    let bcast_plan = CopyPlan::from_schedule(gamma.graph(), &bcast_schedule, true);
-    let coll_rows = thread_ladder(&gamma.name(), host_cpus, false, |t| {
-        simulate_parallel_collective(&gamma, &bcast_plan, 4_000_000, t, &mut NoopObserver)
-    })?;
+    let bcast = Experiment::on(&gamma)
+        .collective(CollectiveSpec::Broadcast {
+            source: 0,
+            port: Port::One,
+        })
+        .cycles(4_000_000);
+    let coll_rows = thread_ladder(&gamma.name(), host_cpus, false, |t| outcome(&bcast, t))?;
     print_ladder("collective (one-port broadcast)", &coll_rows);
 
     println!(
@@ -899,9 +866,6 @@ fn run() -> Result<(), BenchError> {
             ),
         ),
     ]);
-    // The router borrows `gamma`, which smoke mode is about to move.
-    drop(gamma_router);
-
     // Smoke mode shrinks the sweep dimensions but keeps the artifact
     // shape.
     let (gamma, q) = if smoke {

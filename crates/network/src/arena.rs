@@ -139,7 +139,7 @@ impl PacketSlab {
 
     /// The copy-plan edge the origin of packet `id` emits after this copy
     /// departs, or [`NO_COPY`] — the one-port tree-forwarding chain of
-    /// [`simulate_collective`](crate::simulator::simulate_collective).
+    /// the collective path.
     #[inline]
     pub fn next_copy(&self, id: u32) -> u32 {
         self.next_copy[id as usize]
@@ -216,7 +216,7 @@ pub type LinkQueues = Fifos<u32>;
 
 /// Flit FIFOs for the wormhole engine, one per (directed link × virtual
 /// channel) buffer, holding packed `u64` flit records (see
-/// [`simulate_wormhole`](crate::simulator::simulate_wormhole)). The
+/// [`SwitchingSpec::Wormhole`](crate::switching::SwitchingSpec)). The
 /// capacity a buffer advertises (`buf_flits`) is enforced *logically* by
 /// the engine's credit check, not by the allocation: a degenerate
 /// configuration with an effectively unbounded buffer costs no memory

@@ -15,9 +15,8 @@
 //! * [`CopyPlan`] — the spec compiled against a concrete (healthy or
 //!   faulted) network: a `BroadcastSchedule`-derived **next-copy table**
 //!   (per-node child/edge lists in round order, CSR layout) that the
-//!   arena engine ([`simulate_collective`](crate::simulator::simulate_collective))
-//!   executes by replicating packets at intermediate nodes — one copy per
-//!   tree edge, chained through the struct-of-arrays
+//!   arena engine executes by replicating packets at intermediate nodes
+//!   — one copy per tree edge, chained through the struct-of-arrays
 //!   [`PacketSlab`](crate::arena::PacketSlab) with no per-packet
 //!   allocation;
 //! * [`CollectiveOutcome`] — the completion-time/round statistics a
@@ -42,6 +41,7 @@ use crate::broadcast::{partial_all_port, partial_one_port, BroadcastSchedule};
 use crate::experiment::ExperimentError;
 use crate::fault::FaultSet;
 use crate::report::JsonValue;
+use crate::router::{LinkLoad, Router};
 use crate::traffic::{num, parse_kv_opt, split_call, Packet, TrafficSpec};
 
 /// The port model of a tree collective: how many neighbors an informed
@@ -291,6 +291,21 @@ pub(crate) enum CollectiveWorkload {
     Unicasts(Vec<Packet>),
 }
 
+/// The router a tree collective runs under: copies travel the plan
+/// edges the [`CopyPlan`] resolved at compile time, so no policy is
+/// consulted and there is no next hop to give.
+pub(crate) struct TreeForward;
+
+impl Router for TreeForward {
+    fn name(&self) -> String {
+        "tree-forward".to_string()
+    }
+
+    fn next_hop(&self, _cur: u32, _dst: u32, _load: &dyn LinkLoad) -> Option<u32> {
+        None
+    }
+}
+
 /// The *next-copy table* of a tree collective: a
 /// [`BroadcastSchedule`]-derived forwarding plan the arena engine
 /// executes by replication. Per node it stores the children to inform —
@@ -507,7 +522,7 @@ impl CopyPlan {
 
     /// Copies the engine must account for: spawned plus dropped —
     /// the `offered` figure of the run's
-    /// [`SimStats`](crate::simulator::SimStats).
+    /// [`SimStats`](crate::engine::SimStats).
     pub fn offered(&self) -> usize {
         self.total_copies() + self.dropped_dead.len() + self.dropped_unreachable.len()
     }
@@ -554,7 +569,7 @@ impl CopyPlan {
 }
 
 /// The completion-time/round statistics of one collective run, reported
-/// alongside the engine's [`SimStats`](crate::simulator::SimStats) in the
+/// alongside the engine's [`SimStats`](crate::engine::SimStats) in the
 /// experiment [`Report`](crate::report::Report).
 #[derive(Clone, Debug, PartialEq)]
 pub struct CollectiveOutcome {

@@ -1,6 +1,6 @@
 //! The dynamic-fault (churn) store-and-forward workload: the same
-//! unified stepper as the static engine ([`run_core`]), with a
-//! [`ChurnTimeline`] of fail/recover events applied in the event-commit
+//! unified stepper and store-and-forward lane as the static engine, with a
+//! [`ChurnTimeline`](crate::fault::ChurnTimeline) of fail/recover events applied in the event-commit
 //! stage and an optional closed-loop request/reply workload with
 //! timeout-and-retry delivery.
 //!
@@ -32,18 +32,18 @@
 //!
 //! ## Equivalence gates
 //!
-//! - An **empty timeline** delegates to the healthy engine — the
-//!   zero-churn run is packet-for-packet identical to
-//!   [`simulate_observed`](crate::simulate_observed).
+//! - An **empty timeline** delegates to the healthy engine (the
+//!   engine's one door, `engine::run`, checks) — the zero-churn run is
+//!   packet-for-packet identical to a healthy run.
 //! - A timeline whose failures all commit at cycle 0 and never recover
-//!   is packet-for-packet identical to the static degraded engine
-//!   ([`simulate_faulted`](crate::simulate_faulted)): both route per-hop
-//!   through the same [`FaultMaskingRouter`] state, with the same
-//!   injection admission and the same cycle skeleton.
+//!   is packet-for-packet identical to the static degraded run: both
+//!   route per-hop through the same [`FaultMaskingRouter`] state, with
+//!   the same injection admission and the same cycle skeleton.
 //!
 //! ## Closed-loop delivery
 //!
-//! [`simulate_request_reply`] replaces the open-loop packet list with
+//! The request/reply workload ([`RequestReplyLoad`]) replaces the
+//! open-loop packet list with
 //! `clients` sessions. Each session thinks (seeded exponential holding
 //! time), then issues a request to a fresh random destination; the
 //! destination answers with a reply packet, and the transaction
@@ -64,94 +64,31 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::arena::PacketSlab;
-use crate::fault::{ChurnEvent, ChurnTarget, ChurnTimeline, FaultSet};
+use crate::fault::{ChurnEvent, ChurnTarget, FaultSet};
 use crate::observer::SimObserver;
 use crate::router::{FaultMaskingRouter, Router};
-use crate::topology::Topology;
 use crate::traffic::Packet;
 
-use super::core::{run_core, Core, Routing, SafMsg};
+use super::core::{Core, Routing, SafMsg};
 use super::policy::{ChurnAdmission, FaultPolicy, ReplicationPolicy};
-use super::stats::{DropReason, SimStats};
+use super::stats::DropReason;
 
-/// Runs the store-and-forward engine under a churn timeline: faults
-/// fail and recover mid-run, routes repair incrementally, and packets
-/// caught on dying elements become typed drops. See the
-/// module-level docs for the event semantics and equivalence gates.
-///
-/// An empty timeline delegates to the healthy engine.
-pub fn simulate_churn<T, R, O>(
-    topology: &T,
-    router: &R,
-    timeline: &ChurnTimeline,
-    packets: &[Packet],
-    max_cycles: u64,
-    observer: &mut O,
-) -> SimStats
-where
-    T: Topology + ?Sized,
-    R: Router + ?Sized,
-    O: SimObserver,
-{
-    if timeline.is_empty() {
-        return super::simulate_observed(topology, router, packets, max_cycles, observer);
-    }
-    let n = topology.len() as u32;
-    let workload = ChurnUnicast::open(topology.graph(), router, timeline.events(), packets, 0, n);
-    let (stats, _) = run_core(topology, packets.len(), max_cycles, observer, workload);
-    stats
-}
-
-/// The closed-loop request/reply workload of [`simulate_request_reply`]:
-/// `clients` sessions cycling think → request → reply with
-/// timeout-and-retry delivery. Parsed from
-/// [`TrafficSpec::RequestReply`](crate::traffic::TrafficSpec).
+/// The closed-loop request/reply workload: `clients` sessions cycling
+/// think → request → reply with timeout-and-retry delivery. Built from
+/// [`TrafficSpec::RequestReply`](crate::traffic::TrafficSpec) and the
+/// experiment seed.
 #[derive(Clone, Copy, Debug)]
-pub struct RequestReplyLoad {
+pub(crate) struct RequestReplyLoad {
     /// Concurrent client sessions.
-    pub clients: usize,
+    pub(crate) clients: usize,
     /// Mean think time between transactions (cycles, exponential).
-    pub think: f64,
+    pub(crate) think: f64,
     /// Base reply deadline (cycles); doubles per retry attempt.
-    pub timeout: u64,
+    pub(crate) timeout: u64,
     /// Retry budget beyond the first attempt.
-    pub retries: u32,
+    pub(crate) retries: u32,
     /// Seed for session placement, destinations, think times, backoff.
-    pub seed: u64,
-}
-
-/// Runs the closed-loop request/reply workload under a churn timeline
-/// (which may be empty — retries then only cover congestion). Requires
-/// at least 2 nodes and a finite `max_cycles` (the closed loop never
-/// drains on its own); the experiment layer enforces both with typed
-/// errors. See the module-level docs for the transaction accounting.
-pub fn simulate_request_reply<T, R, O>(
-    topology: &T,
-    router: &R,
-    timeline: &ChurnTimeline,
-    load: &RequestReplyLoad,
-    max_cycles: u64,
-    observer: &mut O,
-) -> SimStats
-where
-    T: Topology + ?Sized,
-    R: Router + ?Sized,
-    O: SimObserver,
-{
-    assert!(
-        topology.len() >= 2,
-        "request/reply needs a peer to talk to (>= 2 nodes)"
-    );
-    let workload = ChurnUnicast::closed(
-        topology.graph(),
-        router,
-        timeline.events(),
-        load,
-        topology.len() as u32,
-    );
-    let (mut stats, workload) = run_core(topology, 0, max_cycles, observer, workload);
-    stats.offered = workload.offered();
-    stats
+    pub(crate) seed: u64,
 }
 
 /// Traffic side of the churn workload: the open-loop time-sorted packet
@@ -232,11 +169,7 @@ impl<'g, 'p, R: Router + ?Sized> ChurnUnicast<'g, 'p, R> {
     }
 }
 
-impl<O, R> ReplicationPolicy<O> for ChurnUnicast<'_, '_, R>
-where
-    O: SimObserver,
-    R: Router + ?Sized,
-{
+impl<R: Router + ?Sized> ReplicationPolicy for ChurnUnicast<'_, '_, R> {
     fn next_pending(&mut self) -> Option<u64> {
         // Traffic actions only: pending fault events between here and
         // the next action commit late, at the jumped-to cycle — with no
@@ -254,7 +187,7 @@ where
     /// queues. Flushes only ever find packets when `event.cycle` is the
     /// current cycle — the engine fast-forwards only over empty
     /// networks.
-    fn commit_events(&mut self, cycle: u64, core: &mut Core<'_, O>) {
+    fn commit_events<O: SimObserver>(&mut self, cycle: u64, core: &mut Core<'_, O>) {
         while self.next_event < self.events.len() && self.events[self.next_event].cycle <= cycle {
             let ev = self.events[self.next_event];
             self.next_event += 1;
@@ -322,7 +255,7 @@ where
         }
     }
 
-    fn inject(&mut self, cycle: u64, core: &mut Core<'_, O>) {
+    fn inject<O: SimObserver>(&mut self, cycle: u64, core: &mut Core<'_, O>) {
         let ChurnUnicast { router, mode, .. } = self;
         match mode {
             Mode::Open { inj, next_inject } => {
@@ -361,7 +294,7 @@ where
         }
     }
 
-    fn commit(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O>) {
+    fn commit<O: SimObserver>(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O>) {
         let ChurnUnicast { router, mode, .. } = self;
         match mode {
             Mode::Open { .. } => {

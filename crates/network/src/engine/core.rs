@@ -1,10 +1,10 @@
 //! The store-and-forward lane: the per-lane arena state ([`Core`]) and
 //! the [`ReplicationPolicy`] workloads (unicast, collective) that
 //! specialize the unified stepper ([`super::stepper`]) into every
-//! packet-switched engine variant. The historical `simulate_*` entry
-//! points are [`Solo`] (one-lane) monomorphizations of [`run_core`];
-//! the sharded entry points build one [`SafLane`] per node shard and
-//! drive the **same** stage methods under the pooled protocol.
+//! packet-switched run. [`SafLanes`] builds one [`SafLane`] per node
+//! shard — a single lane over `[0, n)` in a one-lane run — and
+//! [`run_lanes`](super::parallel::run_lanes) runs the **same**
+//! stage methods under either protocol.
 
 use fibcube_graph::csr::CsrGraph;
 
@@ -15,10 +15,10 @@ use crate::router::{LinkLoad, NextHopTable, Router};
 use crate::topology::Topology;
 use crate::traffic::Packet;
 
-use super::parallel::run_pool;
+use super::parallel::LaneSet;
 use super::policy::{FaultPolicy, ReplicationPolicy};
-use super::stats::{DropReason, SimStats, StatsAcc};
-use super::stepper::{lane_bounds, run_lane, LaneWorkload, Solo};
+use super::stats::{DropReason, StatsAcc};
+use super::stepper::LaneWorkload;
 
 /// Live occupancy per directed link, indexed by lane-local edge id: the
 /// store-and-forward [`LinkQueues`] themselves, or the wormhole engine's
@@ -158,7 +158,7 @@ pub(crate) fn route_edge<R: Router + ?Sized, L: EdgeLoads + ?Sized>(
 /// transaction id in `inject`, its attempt number in `hops`, and its
 /// session tag in `tag` (unused and zero everywhere else).
 #[derive(Clone, Copy, Debug)]
-pub struct SafMsg {
+pub(crate) struct SafMsg {
     /// Arrival node (the popped link's target).
     pub(crate) node: u32,
     /// Final destination (unicast) / tree child (collective).
@@ -175,11 +175,10 @@ pub struct SafMsg {
 /// of the link-FIFO arena, the per-node occupancy counters and
 /// occupied-slot bitmasks, the active worklist, the statistics
 /// accumulator, and the lane's observer (the caller's `&mut O` in a
-/// serial run, a fork in a sharded one). A serial engine is exactly one
-/// `Core` spanning `[0, n)`; a sharded engine is `k` of them over
-/// contiguous node shards. The fields are crate-internal; the struct is
-/// public so the [`ReplicationPolicy`] stage signatures can name it.
-pub struct Core<'g, O: SimObserver> {
+/// one-lane run, a fork in a sharded one). A one-lane run is exactly one
+/// `Core` spanning `[0, n)`; a sharded run is `k` of them over
+/// contiguous node shards.
+pub(crate) struct Core<'g, O: SimObserver> {
     pub(crate) g: &'g CsrGraph,
     /// This lane owns nodes `[lo, hi)` and their output edges
     /// `[edge_lo, ..)` — all node/edge-indexed columns below are local
@@ -343,17 +342,38 @@ impl<'g, O: SimObserver> Core<'g, O> {
 }
 
 /// One store-and-forward lane: the arena state plus the workload's
-/// policy hooks, wired into the unified stepper. Serial runs use one
-/// lane over `[0, n)` under [`Solo`]; sharded runs use `k` of them
-/// under the pooled protocol — the same monomorphized stage code
-/// either way.
+/// policy hooks, wired into the unified stepper. A one-lane run uses one
+/// lane over `[0, n)` under the `Solo` protocol; a sharded run uses `k`
+/// of them under the pooled protocol — the same monomorphized stage
+/// code either way.
 pub(crate) struct SafLane<'g, O: SimObserver, W> {
-    pub(crate) core: Core<'g, O>,
-    pub(crate) workload: W,
+    core: Core<'g, O>,
+    workload: W,
 }
 
-impl<O: SimObserver, W: ReplicationPolicy<O>> LaneWorkload for SafLane<'_, O, W> {
+/// Builds [`SafLane`]s over `g`: each shard's arena [`Core`] around the
+/// workload `make(lo, hi)` returns for it.
+pub(crate) struct SafLanes<'g, 'm, W> {
+    pub(crate) g: &'g CsrGraph,
+    pub(crate) make: &'m mut dyn FnMut(u32, u32) -> W,
+}
+
+impl<'g, W: ReplicationPolicy> LaneSet for SafLanes<'g, '_, W> {
+    type Lane<O: SimObserver> = SafLane<'g, O, W>;
+    type Out = W;
+
+    fn lane<O: SimObserver>(&mut self, lo: u32, hi: u32, observer: O) -> SafLane<'g, O, W> {
+        SafLane {
+            core: Core::new(self.g, self.g.num_vertices(), lo, hi, observer),
+            workload: (self.make)(lo, hi),
+        }
+    }
+}
+
+impl<O: SimObserver, W: ReplicationPolicy> LaneWorkload for SafLane<'_, O, W> {
     type Msg = SafMsg;
+    type Observer = O;
+    type Out = W;
 
     #[inline]
     fn queued(&self) -> u64 {
@@ -434,6 +454,10 @@ impl<O: SimObserver, W: ReplicationPolicy<O>> LaneWorkload for SafLane<'_, O, W>
     fn observe(&mut self, cycle: u64, in_flight: u64) {
         self.core.observer.on_cycle_end(cycle, in_flight as usize);
     }
+
+    fn finish(self) -> (StatsAcc, O, W) {
+        (self.core.acc, self.core.observer, self.workload)
+    }
 }
 
 /// One popped packet: the hop event, the outbox message (with the
@@ -443,7 +467,7 @@ impl<O: SimObserver, W: ReplicationPolicy<O>> LaneWorkload for SafLane<'_, O, W>
 /// count riding in the message.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn pop_step<O: SimObserver, W: ReplicationPolicy<O>>(
+fn pop_step<O: SimObserver, W: ReplicationPolicy>(
     core: &mut Core<'_, O>,
     w: &mut W,
     cycle: u64,
@@ -468,88 +492,6 @@ fn pop_step<O: SimObserver, W: ReplicationPolicy<O>>(
     core.queued -= 1;
     core.acc.total_hops += 1;
     out.push(msg);
-}
-
-/// Runs one whole-network lane of `workload` through the unified
-/// stepper — the serial store-and-forward engine. Returns the finished
-/// stats and the workload (which may carry run outputs, e.g. the
-/// collective's reached-target tally).
-pub(crate) fn run_core<T, O, W>(
-    topology: &T,
-    offered: usize,
-    max_cycles: u64,
-    observer: O,
-    workload: W,
-) -> (SimStats, W)
-where
-    T: Topology + ?Sized,
-    O: SimObserver,
-    W: ReplicationPolicy<O>,
-{
-    let n = topology.len();
-    let mut lane = SafLane {
-        core: Core::new(topology.graph(), n, 0, n as u32, observer),
-        workload,
-    };
-    run_lane(&mut lane, &Solo::default(), 0, max_cycles);
-    (lane.core.acc.finish(offered), lane.workload)
-}
-
-/// Runs `make_workload(lo, hi)`-built lanes of a store-and-forward
-/// workload across `threads` lanes of the pooled stepper, forking the
-/// observer per lane and merging accumulators and observer forks back
-/// in ascending lane order. Returns the finished stats and the lane
-/// workloads (lane order).
-///
-/// # Panics
-///
-/// Panics if `observer` does not support forking
-/// ([`SimObserver::fork`] returns `None`); the experiment layer
-/// pre-checks and reports a typed error instead.
-pub(crate) fn run_core_pool<T, O, W, F>(
-    topology: &T,
-    offered: usize,
-    max_cycles: u64,
-    observer: &mut O,
-    threads: usize,
-    mut make_workload: F,
-) -> (SimStats, Vec<W>)
-where
-    T: Topology + ?Sized,
-    O: SimObserver + Send,
-    W: ReplicationPolicy<O> + Send,
-    F: FnMut(u32, u32) -> W,
-{
-    let n = topology.len();
-    let g = topology.graph();
-    let lanes: Vec<SafLane<'_, O, W>> = lane_bounds(n, threads)
-        .into_iter()
-        .map(|(lo, hi)| SafLane {
-            core: Core::new(g, n, lo, hi, fork_observer(observer)),
-            workload: make_workload(lo, hi),
-        })
-        .collect();
-    let lanes = run_pool(lanes, max_cycles);
-    let mut acc: Option<StatsAcc> = None;
-    let mut workloads = Vec::with_capacity(lanes.len());
-    for lane in lanes {
-        observer.merge(lane.core.observer);
-        match &mut acc {
-            None => acc = Some(lane.core.acc),
-            Some(a) => a.merge(lane.core.acc),
-        }
-        workloads.push(lane.workload);
-    }
-    (acc.expect("at least one lane").finish(offered), workloads)
-}
-
-/// Forks `observer` for one lane of a sharded run, with the engine's
-/// documented panic on observers that opted out of sharding.
-pub(crate) fn fork_observer<O: SimObserver>(observer: &O) -> O {
-    observer.fork().expect(
-        "this observer does not implement SimObserver::fork/merge; \
-         it cannot attach to a sharded run (use threads = 1)",
-    )
 }
 
 /// The unicast workload: time-sorted injection with admission control,
@@ -588,9 +530,8 @@ impl<'p, 't, 'f, R: Router + ?Sized, F: FaultPolicy> Unicast<'p, 't, 'f, R, F> {
     }
 }
 
-impl<O, R, F> ReplicationPolicy<O> for Unicast<'_, '_, '_, R, F>
+impl<R, F> ReplicationPolicy for Unicast<'_, '_, '_, R, F>
 where
-    O: SimObserver,
     R: Router + ?Sized,
     F: FaultPolicy,
 {
@@ -599,7 +540,7 @@ where
         self.inj.get(self.next_inject).map(|p| p.inject_time)
     }
 
-    fn inject(&mut self, cycle: u64, core: &mut Core<'_, O>) {
+    fn inject<O: SimObserver>(&mut self, cycle: u64, core: &mut Core<'_, O>) {
         while self.next_inject < self.inj.len() && self.inj[self.next_inject].inject_time <= cycle {
             let p = self.inj[self.next_inject];
             self.next_inject += 1;
@@ -620,7 +561,7 @@ where
         }
     }
 
-    fn commit(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O>) {
+    fn commit<O: SimObserver>(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O>) {
         if !core.owns(msg.node) {
             return;
         }
@@ -700,7 +641,7 @@ impl<'p> Replicate<'p> {
     }
 }
 
-impl<O: SimObserver> ReplicationPolicy<O> for Replicate<'_> {
+impl ReplicationPolicy for Replicate<'_> {
     #[inline]
     fn next_pending(&mut self) -> Option<u64> {
         // The whole tree starts at cycle 0; after that only in-flight
@@ -712,7 +653,7 @@ impl<O: SimObserver> ReplicationPolicy<O> for Replicate<'_> {
         }
     }
 
-    fn inject(&mut self, _cycle: u64, core: &mut Core<'_, O>) {
+    fn inject<O: SimObserver>(&mut self, _cycle: u64, core: &mut Core<'_, O>) {
         if self.started {
             return;
         }
@@ -749,7 +690,7 @@ impl<O: SimObserver> ReplicationPolicy<O> for Replicate<'_> {
 
     /// Every copy ends exactly at its tree child — deliver it, then
     /// replicate there.
-    fn commit(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O>) {
+    fn commit<O: SimObserver>(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O>) {
         if !core.owns(msg.node) {
             return;
         }
@@ -766,7 +707,7 @@ impl<O: SimObserver> ReplicationPolicy<O> for Replicate<'_> {
     /// One-port siblings chained off copies that departed this cycle:
     /// enqueued now, so they depart next cycle — one port per node per
     /// cycle, exactly the telephone model.
-    fn end_cycle(&mut self, now: u64, core: &mut Core<'_, O>) {
+    fn end_cycle<O: SimObserver>(&mut self, now: u64, core: &mut Core<'_, O>) {
         for i in 0..self.chained.len() {
             let (u, idx) = self.chained[i];
             spawn_copy(self.plan, core, now, u, idx);

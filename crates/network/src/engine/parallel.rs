@@ -1,15 +1,20 @@
-//! The pooled driver of the unified stepper: `k` lanes on a scoped
-//! thread pool, exchanging outbox messages under a barrier protocol.
+//! The lane runner of the unified stepper: one lane under the no-sync
+//! [`Solo`] protocol on the calling thread, or `k` lanes on a scoped
+//! thread pool exchanging outbox messages under the [`Pooled`] barrier
+//! protocol — and the one ordered merge of their results.
 //!
 //! This module contains **no cycle logic**: the per-cycle stages live on
 //! the workloads ([`LaneWorkload`]), and the one stepper driving them,
-//! [`run_lane`](super::stepper::run_lane), is the same function the
-//! serial entry points run under the no-sync
-//! [`Solo`](super::stepper::Solo) protocol. Here the protocol is
-//! [`Pooled`]: per-lane `RwLock`'d outboxes and published atomic
-//! counters, with two [`Barrier`] waits per cycle — one after
+//! [`run_lane`], runs under either protocol. [`run_lanes`] is the only
+//! place that picks the lane count, builds the lanes (a [`LaneSet`]
+//! makes one per node shard around its observer), and merges statistics
+//! accumulators and observer forks back in ascending lane order — for
+//! store-and-forward and wormhole lanes alike.
+//!
+//! Under [`Pooled`] every lane has an `RwLock`'d outbox and published
+//! atomic counters, with two [`Barrier`] waits per cycle — one after
 //! **propose** (every outbox is filled, so commit may read them all in
-//! ascending lane order, exactly the serial scan order) and one inside
+//! ascending lane order, exactly the one-lane scan order) and one inside
 //! **exchange** (every lane has published its queued/next-pending pair;
 //! the wait fences this cycle's commit reads from the next cycle's
 //! propose writes). Every control-flow decision derives from the
@@ -19,25 +24,17 @@
 //! Lane `s` owns the node shard `[s·n/k, (s+1)·n/k)`, stages touch only
 //! lane-local arena state, and cross-lane effects travel as typed
 //! outbox messages committed in lane order, so merged statistics and
-//! observer output are **bit-identical at any thread count** — the
+//! observer output are **bit-identical at any lane count** — the
 //! property the proptests and `sweep --check-threads` pin down for
 //! every policy combination.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, RwLock};
 
-use crate::collective::CopyPlan;
-use crate::fault::{ChurnTimeline, FaultSet};
-use crate::observer::{NoopObserver, SimObserver};
-use crate::router::{FaultMaskingRouter, Router};
-use crate::topology::Topology;
-use crate::traffic::Packet;
+use crate::observer::SimObserver;
 
-use super::churn::{simulate_churn, simulate_request_reply, ChurnUnicast, RequestReplyLoad};
-use super::core::{routing_for, run_core_pool, Replicate, Unicast};
-use super::policy::{AdmitAll, MaskedAdmission};
-use super::stats::SimStats;
-use super::stepper::{run_lane, LaneWorkload, Protocol};
+use super::stats::{SimStats, StatsAcc};
+use super::stepper::{lane_bounds, run_lane, LaneWorkload, Protocol, Solo};
 
 /// Sentinel for "no pending traffic" in the published atomic.
 const NO_PENDING: u64 = u64::MAX;
@@ -92,7 +89,7 @@ impl<M> Protocol<M> for Pooled<'_, M> {
 
 /// Runs the given lanes to completion on a scoped thread pool (one OS
 /// thread per lane) and hands them back for the caller's ordered merge.
-pub(crate) fn run_pool<W>(mut lanes: Vec<W>, max_cycles: u64) -> Vec<W>
+fn run_pool<W>(mut lanes: Vec<W>, max_cycles: u64) -> Vec<W>
 where
     W: LaneWorkload + Send,
     W::Msg: Send + Sync,
@@ -119,181 +116,79 @@ where
     lanes
 }
 
-/// Runs the store-and-forward simulation sharded across `threads` OS
-/// threads (clamped to `[1, nodes]`; `<= 1` runs the serial engine),
-/// returning **exactly** the serial [`SimStats`], histograms included.
-/// A non-empty `faults` set applies the same [`FaultMaskingRouter`]
-/// detours and typed drops as
-/// [`simulate_faulted`](crate::simulate_faulted).
-pub fn simulate_parallel<T, R>(
-    topology: &T,
-    router: &R,
-    faults: &FaultSet,
-    packets: &[Packet],
-    max_cycles: u64,
-    threads: usize,
-) -> SimStats
-where
-    T: Topology + ?Sized,
-    R: Router + Sync + ?Sized,
-{
-    let o = &mut NoopObserver;
-    simulate_parallel_observed(topology, router, faults, packets, max_cycles, threads, o)
+/// The lanes of one run: builds the lane owning nodes `[lo, hi)` around
+/// the observer it reports to — the caller's own (`&mut O`) in a
+/// one-lane run, a [`SimObserver::fork`] in a sharded one — so one
+/// lane type serves both protocols.
+pub(crate) trait LaneSet {
+    /// One lane, reporting to an observer of type `O`.
+    type Lane<O: SimObserver>: LaneWorkload<Observer = O, Out = Self::Out>;
+    /// What a finished lane hands back besides statistics and observer.
+    type Out;
+
+    /// Builds the lane owning nodes `[lo, hi)`.
+    fn lane<O: SimObserver>(&mut self, lo: u32, hi: u32, observer: O) -> Self::Lane<O>;
 }
 
-/// [`simulate_parallel`] with an observer attached: each lane runs a
-/// [`SimObserver::fork`] of `observer`, and the forks merge back in
-/// ascending lane order — the merged output equals the serial run's.
+/// The lane count a run over `n` nodes actually uses: `threads` clamped
+/// to `[1, n]`, so every lane owns at least one node.
+pub(crate) fn lane_count(n: usize, threads: usize) -> usize {
+    threads.clamp(1, n.max(1))
+}
+
+/// Runs a workload over `n` nodes on [`lane_count`]`(n, threads)` lanes
+/// and returns the finished statistics (with `offered` filled in) plus
+/// every lane's output in lane order. One lane runs on the calling
+/// thread under [`Solo`] with `observer` itself attached; `k > 1` lanes
+/// each run a fork under [`Pooled`], and the accumulators and forks
+/// merge back in ascending lane order.
 ///
 /// # Panics
 ///
-/// Panics if `threads > 1` and [`SimObserver::fork`] returns `None`;
-/// the experiment layer pre-checks and reports a typed error instead.
-pub fn simulate_parallel_observed<T, R, O>(
-    topology: &T,
-    router: &R,
-    faults: &FaultSet,
-    packets: &[Packet],
-    max_cycles: u64,
+/// Panics if the run shards and `observer` does not support forking
+/// ([`SimObserver::fork`] returns `None`); the experiment layer
+/// pre-checks and reports a typed error instead.
+pub(crate) fn run_lanes<S, O>(
+    mut set: S,
+    n: usize,
     threads: usize,
+    offered: usize,
+    max_cycles: u64,
     observer: &mut O,
-) -> SimStats
+) -> (SimStats, Vec<S::Out>)
 where
-    T: Topology + ?Sized,
-    R: Router + Sync + ?Sized,
+    S: LaneSet,
     O: SimObserver + Send,
+    S::Lane<O>: Send,
+    <S::Lane<O> as LaneWorkload>::Msg: Send + Sync,
 {
-    let n = topology.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return super::simulate_faulted(topology, router, faults, packets, max_cycles, observer);
+    let k = lane_count(n, threads);
+    if k == 1 {
+        let mut lane = set.lane(0, n as u32, &mut *observer);
+        run_lane(&mut lane, &Solo::default(), 0, max_cycles);
+        let (acc, _, out) = lane.finish();
+        return (acc.finish(offered), vec![out]);
     }
-    let admit = AdmitAll;
-    if faults.is_empty() {
-        let plan = routing_for(topology, router, packets.len());
-        let make = |lo, hi| Unicast::for_range(plan.as_ref(), packets, lo, hi, &admit);
-        run_core_pool(topology, packets.len(), max_cycles, observer, threads, make).0
-    } else {
-        let masked = FaultMaskingRouter::new(topology.graph(), router, faults);
-        let admission = MaskedAdmission::new(&masked);
-        let plan = routing_for(topology, &masked, packets.len());
-        let make = |lo, hi| Unicast::for_range(plan.as_ref(), packets, lo, hi, &admission);
-        run_core_pool(topology, packets.len(), max_cycles, observer, threads, make).0
+    let lanes: Vec<S::Lane<O>> = lane_bounds(n, k)
+        .into_iter()
+        .map(|(lo, hi)| {
+            let fork = O::fork(observer).expect(
+                "this observer does not implement SimObserver::fork/merge; \
+                 it cannot attach to a sharded run (use threads = 1)",
+            );
+            set.lane(lo, hi, fork)
+        })
+        .collect();
+    let mut acc: Option<StatsAcc> = None;
+    let mut outs = Vec::with_capacity(k);
+    for lane in run_pool(lanes, max_cycles) {
+        let (lane_acc, fork, out) = lane.finish();
+        observer.merge(fork);
+        match &mut acc {
+            None => acc = Some(lane_acc),
+            Some(a) => a.merge(lane_acc),
+        }
+        outs.push(out);
     }
-}
-
-/// [`simulate_churn`] sharded across `threads` OS threads. Each lane
-/// owns a **replica** of the masked router and applies the same event
-/// stream in its event-commit stage — no shared lock anywhere, and
-/// bit-identical to the serial churn engine at any thread count.
-pub fn simulate_parallel_churn<T, R>(
-    topology: &T,
-    router: &R,
-    timeline: &ChurnTimeline,
-    packets: &[Packet],
-    max_cycles: u64,
-    threads: usize,
-) -> SimStats
-where
-    T: Topology + ?Sized,
-    R: Router + Sync + ?Sized,
-{
-    let o = &mut NoopObserver;
-    simulate_parallel_churn_observed(topology, router, timeline, packets, max_cycles, threads, o)
-}
-
-/// [`simulate_parallel_churn`] with a forked observer — see
-/// [`simulate_parallel_observed`] for the fork/merge contract.
-pub fn simulate_parallel_churn_observed<T, R, O>(
-    topology: &T,
-    router: &R,
-    timeline: &ChurnTimeline,
-    packets: &[Packet],
-    max_cycles: u64,
-    threads: usize,
-    observer: &mut O,
-) -> SimStats
-where
-    T: Topology + ?Sized,
-    R: Router + Sync + ?Sized,
-    O: SimObserver + Send,
-{
-    let n = topology.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return simulate_churn(topology, router, timeline, packets, max_cycles, observer);
-    }
-    if timeline.is_empty() {
-        // Zero churn is the healthy network: skip the replica builds.
-        let empty = FaultSet::empty();
-        return simulate_parallel_observed(
-            topology, router, &empty, packets, max_cycles, threads, observer,
-        );
-    }
-    let g = topology.graph();
-    let make = |lo, hi| ChurnUnicast::open(g, router, timeline.events(), packets, lo, hi);
-    run_core_pool(topology, packets.len(), max_cycles, observer, threads, make).0
-}
-
-/// [`simulate_request_reply`] sharded across `threads` OS threads: the
-/// session machine is replicated on every lane (identical RNG streams),
-/// with packet effects gated on node ownership. `stats.offered` comes
-/// from lane 0's replica, exactly the serial machine's tally.
-pub fn simulate_parallel_request_reply<T, R, O>(
-    topology: &T,
-    router: &R,
-    timeline: &ChurnTimeline,
-    load: &RequestReplyLoad,
-    max_cycles: u64,
-    threads: usize,
-    observer: &mut O,
-) -> SimStats
-where
-    T: Topology + ?Sized,
-    R: Router + Sync + ?Sized,
-    O: SimObserver + Send,
-{
-    let n = topology.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return simulate_request_reply(topology, router, timeline, load, max_cycles, observer);
-    }
-    assert!(n >= 2, "request/reply needs a peer to talk to (>= 2 nodes)");
-    let g = topology.graph();
-    let (mut stats, lanes) = run_core_pool(topology, 0, max_cycles, observer, threads, |_, _| {
-        ChurnUnicast::closed(g, router, timeline.events(), load, n as u32)
-    });
-    stats.offered = lanes[0].offered();
-    stats
-}
-
-/// [`simulate_collective`](crate::simulate_collective) sharded across
-/// `threads` OS threads: copies spawn at the lane owning the spawning
-/// node and the reached-target tally sums over lanes.
-pub fn simulate_parallel_collective<T, O>(
-    topology: &T,
-    plan: &CopyPlan,
-    max_cycles: u64,
-    threads: usize,
-    observer: &mut O,
-) -> (SimStats, usize)
-where
-    T: Topology + ?Sized,
-    O: SimObserver + Send,
-{
-    let n = topology.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return super::simulate_collective(topology, plan, max_cycles, observer);
-    }
-    let make = |_, _| Replicate::new(plan);
-    let (stats, lanes) = run_core_pool(
-        topology,
-        plan.offered(),
-        max_cycles,
-        observer,
-        threads,
-        make,
-    );
-    (stats, lanes.iter().map(|w| w.reached_targets).sum())
+    (acc.expect("at least one lane").finish(offered), outs)
 }

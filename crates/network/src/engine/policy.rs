@@ -1,32 +1,30 @@
-//! The compile-time policy axes of the unified engine core.
+//! The compile-time policy axes of the store-and-forward lane.
 //!
-//! One engine, three orthogonal policies (plus the [`SimObserver`]
-//! event axis):
+//! Two orthogonal policies (plus the [`SimObserver`] event axis):
 //!
-//! - [`SwitchingPolicy`] — how packets occupy links: whole-packet
-//!   store-and-forward ([`StoreAndForward`]) or flit-level wormhole with
-//!   virtual channels ([`FlitWormhole`]).
 //! - [`FaultPolicy`] — injection admission: admit everything
 //!   ([`AdmitAll`]) or drop packets whose endpoints are dead or
-//!   disconnected, with typed reasons ([`MaskedAdmission`]).
+//!   disconnected, with typed reasons ([`MaskedAdmission`],
+//!   [`ChurnAdmission`]).
 //! - [`ReplicationPolicy`] — what happens to a packet at the far end of
 //!   a hop: unicast routing toward a destination, or tree replication at
 //!   intermediate nodes (the collective path).
 //!
-//! Every policy is a zero-sized or reference-carrying struct resolved at
-//! compile time, so each combination monomorphizes to the same
-//! specialized loop the pre-unification engine variants compiled to —
-//! the "zero-cost gate" the equivalence tests pin down.
+//! The switching model is not a trait: [`SwitchingSpec`] picks the
+//! store-and-forward or the wormhole lane type at the engine's one
+//! door. Every policy is a zero-sized or reference-carrying struct
+//! resolved at compile time, so each combination monomorphizes to its
+//! own specialized loop — the "zero-cost gate" the equivalence tests
+//! pin down.
+//!
+//! [`SwitchingSpec`]: crate::switching::SwitchingSpec
 
 use crate::arena::PacketSlab;
 use crate::observer::SimObserver;
 use crate::router::{FaultMaskingRouter, Router};
-use crate::topology::Topology;
-use crate::traffic::Packet;
 
-use super::core::{routing_for, run_core, Core, SafMsg, Unicast};
-use super::stats::{DropReason, SimStats};
-use super::wormhole::wormhole_engine;
+use super::core::{Core, SafMsg};
+use super::stats::DropReason;
 
 /// Injection-time admission policy: decides per packet whether the
 /// engine routes it or drops it with a typed reason.
@@ -48,13 +46,13 @@ use super::wormhole::wormhole_engine;
 /// - Healthy runs use [`AdmitAll`], which monomorphizes the drop branch
 ///   away entirely — attaching a fault policy must cost nothing when
 ///   there are no faults.
-pub trait FaultPolicy {
+pub(crate) trait FaultPolicy {
     /// `Some(reason)` to drop the packet at injection, `None` to route.
     fn verdict(&self, src: u32, dst: u32) -> Option<DropReason>;
 }
 
 /// Admits everything — monomorphizes the drop branch away entirely.
-pub struct AdmitAll;
+pub(crate) struct AdmitAll;
 
 impl FaultPolicy for AdmitAll {
     #[inline]
@@ -67,7 +65,7 @@ impl FaultPolicy for AdmitAll {
 /// reachability: dead endpoints drop as
 /// [`DropReason::DeadEndpoint`], surviving-but-disconnected pairs as
 /// [`DropReason::Unreachable`].
-pub struct MaskedAdmission<'a, 'b, R: Router + ?Sized> {
+pub(crate) struct MaskedAdmission<'a, 'b, R: Router + ?Sized> {
     masked: &'a FaultMaskingRouter<'b, R>,
 }
 
@@ -75,7 +73,7 @@ impl<'a, 'b, R: Router + ?Sized> MaskedAdmission<'a, 'b, R> {
     /// Admission checked against `masked`'s node liveness and
     /// reachability — the same masked router the degraded run routes
     /// through, so admitted packets are guaranteed routable.
-    pub fn new(masked: &'a FaultMaskingRouter<'b, R>) -> MaskedAdmission<'a, 'b, R> {
+    pub(crate) fn new(masked: &'a FaultMaskingRouter<'b, R>) -> MaskedAdmission<'a, 'b, R> {
         MaskedAdmission { masked }
     }
 }
@@ -98,7 +96,7 @@ impl<R: Router + ?Sized> FaultPolicy for MaskedAdmission<'_, '_, R> {
 /// apply. The churn engine constructs one per borrow *after* the
 /// cycle's events commit, so every verdict in a cycle sees the same
 /// fault epoch — the weakest stability [`FaultPolicy`] permits.
-pub struct ChurnAdmission<'a, 'b, R: Router + ?Sized> {
+pub(crate) struct ChurnAdmission<'a, 'b, R: Router + ?Sized> {
     masked: &'a FaultMaskingRouter<'b, R>,
 }
 
@@ -106,7 +104,7 @@ impl<'a, 'b, R: Router + ?Sized> ChurnAdmission<'a, 'b, R> {
     /// Admission against `masked`'s *current* epoch. The borrow must not
     /// outlive the cycle that created it: the next event application
     /// invalidates its verdicts.
-    pub fn new(masked: &'a FaultMaskingRouter<'b, R>) -> ChurnAdmission<'a, 'b, R> {
+    pub(crate) fn new(masked: &'a FaultMaskingRouter<'b, R>) -> ChurnAdmission<'a, 'b, R> {
         ChurnAdmission { masked }
     }
 }
@@ -128,11 +126,11 @@ impl<R: Router + ?Sized> FaultPolicy for ChurnAdmission<'_, '_, R> {
 /// drives against one lane's [`Core`]. A lane is a contiguous node
 /// shard — the whole network in a serial run, one of `k` shards in a
 /// sharded one — and the **same** monomorphized stage code runs either
-/// way; only the outbox protocol between stages differs. Crate-internal
-/// impls cover unicast routing, collective tree replication, and the
-/// churn/request-reply workloads — the trait is public for
-/// documentation, but a [`Core`] can only be driven from inside the
-/// crate.
+/// way; only the outbox protocol between stages differs. Impls cover
+/// unicast routing, collective tree replication, and the
+/// churn/request-reply workloads. The stage methods are generic over
+/// the lane's observer, so one workload type serves the caller's own
+/// observer in a one-lane run and the forks of a sharded one.
 ///
 /// # Invariants (the sharding contract)
 ///
@@ -157,7 +155,7 @@ impl<R: Router + ?Sized> FaultPolicy for ChurnAdmission<'_, '_, R> {
 /// - `end_cycle` runs after all of the cycle's commits and before the
 ///   `on_cycle_end` event (the one-port collective uses it to spawn
 ///   follow-up copies that must not depart until the next cycle).
-pub trait ReplicationPolicy<O: SimObserver> {
+pub(crate) trait ReplicationPolicy {
     /// The earliest future cycle at which this lane can add new traffic,
     /// or `None` if it never will. Drives the idle fast-forward and the
     /// drained-run termination check.
@@ -165,12 +163,12 @@ pub trait ReplicationPolicy<O: SimObserver> {
 
     /// Event-commit stage: applies due fault/repair events (churn).
     /// Default: no events.
-    fn commit_events(&mut self, cycle: u64, core: &mut Core<'_, O>) {
+    fn commit_events<O: SimObserver>(&mut self, cycle: u64, core: &mut Core<'_, O>) {
         let _ = (cycle, core);
     }
 
     /// Injection stage: admits due traffic at this lane's own nodes.
-    fn inject(&mut self, cycle: u64, core: &mut Core<'_, O>);
+    fn inject<O: SimObserver>(&mut self, cycle: u64, core: &mut Core<'_, O>);
 
     /// Pop-time hook: fills workload-specific `SafMsg` fields before
     /// the slab slot is released. Default: the unicast fields stand.
@@ -180,124 +178,11 @@ pub trait ReplicationPolicy<O: SimObserver> {
 
     /// Arrival-commit stage: one message, presented to every lane in
     /// the serial pop order at the `cycle + 1` boundary.
-    fn commit(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O>);
+    fn commit<O: SimObserver>(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O>);
 
     /// End-of-cycle stage, after every commit of cycle `now` resolved.
     /// Default: nothing deferred.
-    fn end_cycle(&mut self, now: u64, core: &mut Core<'_, O>) {
+    fn end_cycle<O: SimObserver>(&mut self, now: u64, core: &mut Core<'_, O>) {
         let _ = (now, core);
-    }
-}
-
-/// How packets occupy links while crossing the network. The policy owns
-/// the whole engine loop for its model (the two models differ in their
-/// per-link state — packet FIFOs vs flit buffers × virtual channels —
-/// not just in a hook), parameterized over the same topology, router,
-/// observer, and fault axes.
-///
-/// # Invariants
-///
-/// - Injection admission, idle fast-forward, self-addressed delivery,
-///   forward-scan order (ascending node, then edge), and the
-///   `cycle + 1` arrival boundary are identical across implementations
-///   — a degenerate wormhole configuration (1 flit/packet, 1 VC,
-///   unbounded buffers) must reproduce [`StoreAndForward`] exactly.
-/// - Packet-level accounting ([`SimStats`], `on_hop`, hop counts)
-///   follows the packet's head; flit-level movement is observable only
-///   through `on_flit_hop`.
-/// - `offered == delivered + dropped + still-in-flight` holds under any
-///   cycle cap.
-pub trait SwitchingPolicy {
-    /// Runs a unicast packet workload under this switching model.
-    fn run_unicast<T, R, O, F>(
-        &self,
-        topology: &T,
-        router: &R,
-        packets: &[Packet],
-        max_cycles: u64,
-        observer: &mut O,
-        faults: &F,
-    ) -> SimStats
-    where
-        T: Topology + ?Sized,
-        R: Router + ?Sized,
-        O: SimObserver,
-        F: FaultPolicy;
-}
-
-/// Whole-packet store-and-forward switching: every directed link moves
-/// at most one packet per cycle between unbounded FIFO queues.
-pub struct StoreAndForward;
-
-impl SwitchingPolicy for StoreAndForward {
-    fn run_unicast<T, R, O, F>(
-        &self,
-        topology: &T,
-        router: &R,
-        packets: &[Packet],
-        max_cycles: u64,
-        observer: &mut O,
-        faults: &F,
-    ) -> SimStats
-    where
-        T: Topology + ?Sized,
-        R: Router + ?Sized,
-        O: SimObserver,
-        F: FaultPolicy,
-    {
-        let plan = routing_for(topology, router, packets.len());
-        let n = topology.len() as u32;
-        let (stats, _) = run_core(
-            topology,
-            packets.len(),
-            max_cycles,
-            observer,
-            Unicast::for_range(plan.as_ref(), packets, 0, n, faults),
-        );
-        stats
-    }
-}
-
-/// Flit-level wormhole switching with virtual channels and credit
-/// backpressure: each packet is `flits_per_packet` flits streaming
-/// through a chain of (link × VC) buffers of `buf_flits` capacity. See
-/// [`simulate_wormhole`](crate::simulate_wormhole) for the model and
-/// [`switching`](crate::switching) for the deadlock-freedom argument.
-pub struct FlitWormhole {
-    /// Flits per packet (≥ 1); 1 degenerates to packet switching.
-    pub flits_per_packet: u32,
-    /// Virtual channels per directed link (≥ 1).
-    pub vcs: u32,
-    /// Flit capacity of each (link × VC) buffer (≥ 1).
-    pub buf_flits: u32,
-}
-
-impl SwitchingPolicy for FlitWormhole {
-    fn run_unicast<T, R, O, F>(
-        &self,
-        topology: &T,
-        router: &R,
-        packets: &[Packet],
-        max_cycles: u64,
-        observer: &mut O,
-        faults: &F,
-    ) -> SimStats
-    where
-        T: Topology + ?Sized,
-        R: Router + ?Sized,
-        O: SimObserver,
-        F: FaultPolicy,
-    {
-        wormhole_engine(
-            topology,
-            router,
-            self.flits_per_packet,
-            self.vcs,
-            self.buf_flits,
-            packets,
-            max_cycles,
-            observer,
-            faults,
-        )
     }
 }

@@ -94,8 +94,8 @@ pub fn simulate_reference(
 /// Full-scan oracle for **degraded** runs, mirroring
 /// [`simulate_reference`]: the same admission rules (dead or disconnected
 /// endpoints become typed drops at injection) and the same
-/// [`FaultMaskingRouter`] policy as
-/// [`simulate_faulted`](crate::simulate_faulted), but run through the
+/// [`FaultMaskingRouter`] policy as a degraded
+/// [`Experiment`](crate::Experiment) run, but run through the
 /// seed-style engine — per-node `VecDeque`s, every node scanned every
 /// cycle, routing consulted per hop with the live queue lengths. A test
 /// harness, far too slow for experiments: the property tests compare the

@@ -11,7 +11,7 @@
 /// behind the `dropped_*` fields of [`SimStats`] and the
 /// [`on_drop`](crate::observer::SimObserver::on_drop) observer hook.
 /// Drops only happen on degraded runs
-/// ([`simulate_faulted`](crate::simulate_faulted) or churned runs);
+/// (static faults or churn);
 /// the healthy engine never drops. The first two reasons are
 /// injection-time verdicts; the `LinkDied`/`NodeDied` reasons hit
 /// packets already in flight when a churn event removes the link or

@@ -7,13 +7,15 @@
 //! exchange cross-shard effects:
 //!
 //! - [`Solo`] — one lane covering every node, outbox kept in a local
-//!   `RefCell`, no synchronization at all. Every historical
-//!   `simulate_*` entry point is a `Solo` monomorphization, so the
-//!   serial engines compile to the same straight-line loops they were
-//!   before the stepper existed.
+//!   `RefCell`, no synchronization at all. A one-lane run is a `Solo`
+//!   monomorphization, so it compiles to the same straight-line loop a
+//!   dedicated serial engine would.
 //! - `Pooled` (in [`parallel`](super::parallel)) — `k` lanes on a
 //!   scoped thread pool with per-lane `RwLock` outboxes, published
 //!   queue counters, and a barrier per phase boundary.
+//!
+//! [`run_lanes`](super::parallel::run_lanes) picks between them from
+//! the lane count alone.
 //!
 //! Because both protocols drive the *same* stage methods in the *same*
 //! order, and every stage only reads its own lane's arena state while
@@ -48,6 +50,8 @@
 
 use std::cell::RefCell;
 
+use super::stats::StatsAcc;
+
 /// One lane's view of a simulation run: the per-cycle stage methods the
 /// unified stepper ([`run_lane`]) drives. See the [module docs](self)
 /// for the stage order and the determinism argument.
@@ -69,6 +73,13 @@ use std::cell::RefCell;
 pub(crate) trait LaneWorkload {
     /// One cross-lane effect: a packet arrival, a flit grant, a credit.
     type Msg;
+
+    /// The observer this lane reports to.
+    type Observer;
+
+    /// What the finished lane hands back besides statistics and
+    /// observer (the workload itself, for its run tallies).
+    type Out;
 
     /// Packets/flits this lane currently holds (the lockstep drain
     /// check sums this across lanes).
@@ -105,6 +116,11 @@ pub(crate) trait LaneWorkload {
         let _ = max_cycles;
         Some(cycle + 1)
     }
+
+    /// Takes the finished lane apart for the ordered merge in
+    /// [`run_lanes`](super::parallel::run_lanes): its statistics
+    /// accumulator, its observer, and its output.
+    fn finish(self) -> (StatsAcc, Self::Observer, Self::Out);
 }
 
 /// How lanes exchange outbox messages and global counters: [`Solo`]
@@ -160,9 +176,9 @@ impl<M> Protocol<M> for Solo<M> {
 
 /// Drives one lane through the unified cycle skeleton until the run
 /// drains, hits `max_cycles`, or the workload's `advance` stops it.
-/// This is the **only** stepper in the engine: `Solo` monomorphizations
-/// of it are the serial `simulate_*` functions, `Pooled` ones are the
-/// sharded engine — there is no second copy of the cycle loop to drift.
+/// This is the **only** stepper in the engine: its `Solo`
+/// monomorphizations are the one-lane runs, its `Pooled` ones the
+/// sharded runs — there is no second copy of the cycle loop to drift.
 pub(crate) fn run_lane<W, P>(lane: &mut W, proto: &P, me: usize, max_cycles: u64)
 where
     W: LaneWorkload,

@@ -1,14 +1,41 @@
-//! The flit-level wormhole workload of the unified stepper — the
-//! engine body behind [`simulate_wormhole`](crate::simulate_wormhole),
-//! [`simulate_wormhole_faulted`](crate::simulate_wormhole_faulted) and
-//! [`simulate_parallel_wormhole`], i.e. the
-//! [`FlitWormhole`](super::policy::FlitWormhole) switching policy.
+//! The flit-level wormhole workload of the unified stepper — the lane
+//! type the engine's one door (`engine::run`) builds for a
+//! [`SwitchingSpec::Wormhole`](crate::switching::SwitchingSpec) run.
 //!
 //! Like the store-and-forward core, the cycle body lives in stage
-//! methods driven by [`run_lane`](super::stepper::run_lane); the serial
-//! entry points are the one-lane [`Solo`] monomorphization and the
-//! sharded entry runs the identical stages under the pooled protocol.
+//! methods driven by [`run_lane`](super::stepper::run_lane); a one-lane
+//! run is the `Solo` monomorphization and a sharded run executes the
+//! identical stages under the pooled protocol.
 //!
+//! ## The model
+//!
+//! Each packet is [`SwitchingSpec::flits_per_packet`] flits. The head
+//! flit claims a chain of (directed link × virtual channel) buffers of
+//! `buf_flits` capacity, routing one hop per cycle exactly like the
+//! store-and-forward engine; body flits stream behind it through the
+//! same chain (one injected per cycle at the source) and the tail
+//! releases each buffer as it passes — so a blocked packet occupies
+//! buffers along its whole path, the defining wormhole behaviour.
+//! Advancement is credit-based (a flit moves only when the next buffer
+//! has space, counting same-cycle reservations) and each directed link
+//! still moves at most one flit per cycle, scanning VCs lowest-first.
+//! Virtual channels are keyed to [`Topology::channel_class`]: a hop
+//! whose class does not increase bumps the packet to the next VC level
+//! (clamped to `vcs − 1`), which on order-based routes makes the
+//! channel-dependency graph acyclic — see [`switching`](crate::switching)
+//! for the argument. Fault detours are not order-based, so on degraded
+//! networks the VC level can clamp and deadlock freedom is best-effort;
+//! `offered == delivered + dropped + still-in-flight` holds either way.
+//!
+//! Packet-level accounting ([`SimStats`](super::SimStats),
+//! [`SimObserver::on_hop`], hop counts) follows the **head** flit, so a
+//! degenerate configuration (one flit per packet, one VC, effectively
+//! unbounded buffers) reproduces the store-and-forward run exactly.
+//! Flit-level movement is observable through
+//! [`SimObserver::on_flit_hop`].
+//!
+//! [`SwitchingSpec::flits_per_packet`]: crate::switching::SwitchingSpec::flits_per_packet
+
 //! ## Sharding model: replicated arbitration
 //!
 //! Wormhole advancement is a global arbitration: whether a flit may
@@ -50,18 +77,16 @@ use std::collections::VecDeque;
 use fibcube_graph::csr::CsrGraph;
 
 use crate::arena::{FlitQueues, PacketSlab};
-use crate::fault::FaultSet;
 use crate::observer::SimObserver;
-use crate::router::{FaultMaskingRouter, Router};
-use crate::switching::SwitchingSpec;
+use crate::router::Router;
 use crate::topology::Topology;
 use crate::traffic::Packet;
 
-use super::core::{fork_observer, route_edge, routing_for, Routing};
-use super::parallel::run_pool;
-use super::policy::{AdmitAll, FaultPolicy, MaskedAdmission};
-use super::stats::{SimStats, StatsAcc};
-use super::stepper::{lane_bounds, run_lane, LaneWorkload, Solo};
+use super::core::{route_edge, Routing};
+use super::parallel::LaneSet;
+use super::policy::FaultPolicy;
+use super::stats::StatsAcc;
+use super::stepper::LaneWorkload;
 
 /// Head-flit flag in a packed flit record (bit 56).
 const FLIT_HEAD: u64 = 1 << 56;
@@ -158,7 +183,7 @@ impl WormState {
 
 /// [`Topology::channel_class`] tabulated per directed edge, so lanes
 /// consult a shared plain slice instead of the topology object.
-fn edge_classes<T: Topology + ?Sized>(topology: &T) -> Vec<u32> {
+pub(crate) fn edge_classes<T: Topology + ?Sized>(topology: &T) -> Vec<u32> {
     let g = topology.graph();
     let mut classes = vec![0u32; g.num_directed_edges()];
     for u in 0..topology.len() as u32 {
@@ -170,9 +195,9 @@ fn edge_classes<T: Topology + ?Sized>(topology: &T) -> Vec<u32> {
 }
 
 /// One lane of the wormhole workload — see the [module docs](self) for
-/// the replicated-arbitration sharding model. A [`Solo`] run over
-/// `[0, n)` *is* the serial engine.
-struct WormLane<'a, R: Router + ?Sized, F: FaultPolicy, O: SimObserver> {
+/// the replicated-arbitration sharding model. A one-lane run over
+/// `[0, n)` is the whole engine.
+pub(crate) struct WormLane<'a, R: Router + ?Sized, F: FaultPolicy, O: SimObserver> {
     // Static, shared across lanes.
     g: &'a CsrGraph,
     edge_class: &'a [u32],
@@ -219,35 +244,40 @@ struct WormLane<'a, R: Router + ?Sized, F: FaultPolicy, O: SimObserver> {
     replay_done: bool,
 }
 
-impl<'a, R: Router + ?Sized, F: FaultPolicy, O: SimObserver> WormLane<'a, R, F, O> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        g: &'a CsrGraph,
-        edge_class: &'a [u32],
-        routing: Routing<'a, R>,
-        admission: &'a F,
-        observer: O,
-        fpp: u32,
-        vcs: usize,
-        buf_flits: u64,
-        packets: &'a [Packet],
-        n: usize,
-        lo: u32,
-        hi: u32,
-    ) -> WormLane<'a, R, F, O> {
+/// Builds [`WormLane`]s for one run: the static configuration every
+/// lane shares.
+pub(crate) struct WormLanes<'a, R: Router + ?Sized, F: FaultPolicy> {
+    pub(crate) g: &'a CsrGraph,
+    pub(crate) edge_class: &'a [u32],
+    pub(crate) routing: Routing<'a, R>,
+    pub(crate) admission: &'a F,
+    /// Flits per packet, virtual channels per link, flits per buffer.
+    pub(crate) fpp: u32,
+    pub(crate) vcs: u32,
+    pub(crate) buf_flits: u32,
+    pub(crate) packets: &'a [Packet],
+}
+
+impl<'a, R: Router + ?Sized, F: FaultPolicy> LaneSet for WormLanes<'a, R, F> {
+    type Lane<O: SimObserver> = WormLane<'a, R, F, O>;
+    type Out = ();
+
+    fn lane<O: SimObserver>(&mut self, lo: u32, hi: u32, observer: O) -> WormLane<'a, R, F, O> {
+        let g = self.g;
+        let vcs = self.vcs.max(1) as usize;
         let edge_lo = if hi > lo { g.edge_range(lo).start } else { 0 };
         let edge_hi = if hi > lo { g.edge_range(hi - 1).end } else { 0 };
         let links = g.num_directed_edges();
-        let mut inj: Vec<&Packet> = packets.iter().collect();
+        let mut inj: Vec<&Packet> = self.packets.iter().collect();
         inj.sort_by_key(|p| p.inject_time);
         WormLane {
             g,
-            edge_class,
-            routing,
-            admission,
+            edge_class: self.edge_class,
+            routing: self.routing,
+            admission: self.admission,
             vcs,
-            buf_flits,
-            fpp,
+            buf_flits: self.buf_flits.max(1) as u64,
+            fpp: self.fpp.max(1),
             max_level: vcs as u32 - 1,
             lo,
             hi,
@@ -259,7 +289,7 @@ impl<'a, R: Router + ?Sized, F: FaultPolicy, O: SimObserver> WormLane<'a, R, F, 
             active: Vec::new(),
             scanned: Vec::new(),
             lat_scratch: Vec::new(),
-            acc: StatsAcc::for_network(n),
+            acc: StatsAcc::for_network(g.num_vertices()),
             observer,
             link_load: vec![0; links],
             occ_b: vec![0; links * vcs],
@@ -278,7 +308,9 @@ impl<'a, R: Router + ?Sized, F: FaultPolicy, O: SimObserver> WormLane<'a, R, F, 
             replay_done: false,
         }
     }
+}
 
+impl<R: Router + ?Sized, F: FaultPolicy, O: SimObserver> WormLane<'_, R, F, O> {
     #[inline]
     fn owns(&self, node: u32) -> bool {
         self.lo <= node && node < self.hi
@@ -355,6 +387,8 @@ impl<'a, R: Router + ?Sized, F: FaultPolicy, O: SimObserver> WormLane<'a, R, F, 
 
 impl<R: Router + ?Sized, F: FaultPolicy, O: SimObserver> LaneWorkload for WormLane<'_, R, F, O> {
     type Msg = WormProbe;
+    type Observer = O;
+    type Out = ();
 
     fn queued(&self) -> u64 {
         // `in_flight` is replicated; only the lead lane reports it so
@@ -672,170 +706,8 @@ impl<R: Router + ?Sized, F: FaultPolicy, O: SimObserver> LaneWorkload for WormLa
         }
         Some(cycle + 1)
     }
-}
 
-/// The shared flit-level engine body behind
-/// [`simulate_wormhole`](crate::simulate_wormhole) and
-/// [`simulate_wormhole_faulted`](crate::simulate_wormhole_faulted): one
-/// [`WormLane`] covering every node, driven by the unified stepper
-/// under the [`Solo`] protocol. See
-/// [`simulate_wormhole`](crate::simulate_wormhole) for the model; the
-/// stage structure deliberately mirrors the store-and-forward core
-/// phase for phase, so the degenerate configuration is event-for-event
-/// identical.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn wormhole_engine<T, R, O, F>(
-    topology: &T,
-    router: &R,
-    flits_per_packet: u32,
-    vcs: u32,
-    buf_flits: u32,
-    packets: &[Packet],
-    max_cycles: u64,
-    observer: &mut O,
-    admission: &F,
-) -> SimStats
-where
-    T: Topology + ?Sized,
-    R: Router + ?Sized,
-    O: SimObserver,
-    F: FaultPolicy,
-{
-    let n = topology.len();
-    let plan = routing_for(topology, router, packets.len());
-    let classes = edge_classes(topology);
-    let mut lane = WormLane::new(
-        topology.graph(),
-        &classes,
-        plan.as_ref(),
-        admission,
-        observer,
-        flits_per_packet.max(1),
-        vcs.max(1) as usize,
-        buf_flits.max(1) as u64,
-        packets,
-        n,
-        0,
-        n as u32,
-    );
-    run_lane(&mut lane, &Solo::default(), 0, max_cycles);
-    lane.acc.finish(packets.len())
-}
-
-/// [`simulate_wormhole_faulted`](crate::simulate_wormhole_faulted)
-/// sharded across `threads` OS threads through the
-/// replicated-arbitration protocol (see `engine/wormhole.rs`'s docs) —
-/// bit-identical [`SimStats`] and merged observer output at any thread
-/// count, for table-routed *and* adaptive configurations. `threads` is
-/// clamped to `[1, nodes]`; `threads <= 1` runs the serial engine
-/// directly, and a [`SwitchingSpec::StoreAndForward`] spec delegates to
-/// [`simulate_parallel_observed`](super::simulate_parallel_observed).
-///
-/// # Panics
-///
-/// Panics if `observer` does not support forking
-/// ([`SimObserver::fork`] returns `None`) and `threads > 1`; the
-/// experiment layer pre-checks and reports a typed error instead.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_parallel_wormhole<T, R, O>(
-    topology: &T,
-    router: &R,
-    spec: &SwitchingSpec,
-    faults: &FaultSet,
-    packets: &[Packet],
-    max_cycles: u64,
-    threads: usize,
-    observer: &mut O,
-) -> SimStats
-where
-    T: Topology + ?Sized,
-    R: Router + Sync + ?Sized,
-    O: SimObserver + Send,
-{
-    let n = topology.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return super::simulate_wormhole_faulted(
-            topology, router, spec, faults, packets, max_cycles, observer,
-        );
+    fn finish(self) -> (StatsAcc, O, ()) {
+        (self.acc, self.observer, ())
     }
-    match *spec {
-        SwitchingSpec::StoreAndForward => super::parallel::simulate_parallel_observed(
-            topology, router, faults, packets, max_cycles, threads, observer,
-        ),
-        SwitchingSpec::Wormhole { vcs, buf_flits, .. } => {
-            let fpp = spec.flits_per_packet();
-            if faults.is_empty() {
-                let admit = AdmitAll;
-                wormhole_pool(
-                    topology, router, fpp, vcs, buf_flits, packets, max_cycles, threads, observer,
-                    &admit,
-                )
-            } else {
-                let masked = FaultMaskingRouter::new(topology.graph(), router, faults);
-                let admission = MaskedAdmission::new(&masked);
-                wormhole_pool(
-                    topology, &masked, fpp, vcs, buf_flits, packets, max_cycles, threads, observer,
-                    &admission,
-                )
-            }
-        }
-    }
-}
-
-/// Builds one [`WormLane`] per thread (forking the observer), runs them
-/// under the pooled protocol, and merges accumulators and observer
-/// forks back in ascending lane order.
-#[allow(clippy::too_many_arguments)]
-fn wormhole_pool<T, R, O, F>(
-    topology: &T,
-    router: &R,
-    flits_per_packet: u32,
-    vcs: u32,
-    buf_flits: u32,
-    packets: &[Packet],
-    max_cycles: u64,
-    threads: usize,
-    observer: &mut O,
-    admission: &F,
-) -> SimStats
-where
-    T: Topology + ?Sized,
-    R: Router + Sync + ?Sized,
-    O: SimObserver + Send,
-    F: FaultPolicy + Sync,
-{
-    let n = topology.len();
-    let g = topology.graph();
-    let plan = routing_for(topology, router, packets.len());
-    let classes = edge_classes(topology);
-    let lanes: Vec<WormLane<'_, R, F, O>> = lane_bounds(n, threads)
-        .into_iter()
-        .map(|(lo, hi)| {
-            WormLane::new(
-                g,
-                &classes,
-                plan.as_ref(),
-                admission,
-                fork_observer(observer),
-                flits_per_packet.max(1),
-                vcs.max(1) as usize,
-                buf_flits.max(1) as u64,
-                packets,
-                n,
-                lo,
-                hi,
-            )
-        })
-        .collect();
-    let lanes = run_pool(lanes, max_cycles);
-    let mut acc: Option<StatsAcc> = None;
-    for lane in lanes {
-        observer.merge(lane.observer);
-        match &mut acc {
-            None => acc = Some(lane.acc),
-            Some(a) => a.merge(lane.acc),
-        }
-    }
-    acc.expect("at least one lane").finish(packets.len())
 }

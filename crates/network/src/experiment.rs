@@ -30,9 +30,8 @@
 //! * **traffic** — a [`TrafficSpec`], parseable from CLI/JSON text;
 //! * **switching** — a [`SwitchingSpec`]
 //!   ([`switching`](Experiment::switching), default store-and-forward):
-//!   wormhole specs route the run through the flit-level engine
-//!   ([`simulate_wormhole`]) with virtual channels and credit-based
-//!   backpressure;
+//!   wormhole specs route the run through the flit-level engine with
+//!   virtual channels and credit-based backpressure;
 //! * **faults** — a [`FaultSpec`] failure scenario
 //!   ([`faults`](Experiment::faults), default none): the engine routes
 //!   the degraded network through a fault-masking router and counts
@@ -43,11 +42,13 @@
 //! * **observers** — any [`SimObserver`], attached with
 //!   [`observe`](Experiment::observe).
 //!
-//! [`run`](Experiment::run) feeds the generated packets through the
-//! monomorphized active-set engine
-//! ([`simulate_observed`](crate::simulator::simulate_observed)) and
-//! returns a [`Report`]: the configuration echo, the engine's
-//! [`SimStats`](crate::simulator::SimStats), and one JSON section per
+//! [`run`](Experiment::run) is the crate's one door to the simulation
+//! engine: it materialises the workload (packets, a churn timeline,
+//! closed-loop sessions, or a collective's copy plan), calls the
+//! monomorphized active-set engine once — on one lane or, with
+//! [`threads`](Experiment::threads), several — and returns a
+//! [`Report`]: the configuration echo, the engine's
+//! [`SimStats`](crate::engine::SimStats), and one JSON section per
 //! observer. [`run_batch`](Experiment::run_batch) fans the same
 //! configuration across many seeds on the workspace thread pool with
 //! deterministic, order-independent results — the building block the
@@ -57,9 +58,9 @@
 //! ## The observer contract
 //!
 //! Observers are compiled into the engine (generic, not `dyn`), so the
-//! default [`NoopObserver`] costs nothing — a no-observer experiment
-//! reproduces [`simulate_with`](crate::simulator::simulate_with) packet
-//! for packet *and* cycle for cycle. Hooks fire in simulation order:
+//! default [`NoopObserver`] costs nothing, and no observer perturbs the
+//! run: the same experiment with or without observers yields identical
+//! statistics, packet for packet and cycle for cycle. Hooks fire in simulation order:
 //! `on_inject` when a packet enters its source queue, `on_hop` per link
 //! traversal, `on_deliver` on arrival (with end-to-end latency), and
 //! `on_cycle_end` after each *simulated* cycle — the engine fast-forwards
@@ -74,19 +75,12 @@ use core::fmt;
 use fibcube_graph::parallel::par_map;
 
 use crate::broadcast::BroadcastError;
-use crate::collective::{CollectiveOutcome, CollectiveSpec, CollectiveWorkload};
-use crate::engine::{
-    simulate_parallel_churn_observed, simulate_parallel_collective,
-    simulate_parallel_request_reply, simulate_parallel_wormhole, RequestReplyLoad,
-};
+use crate::collective::{CollectiveOutcome, CollectiveSpec, CollectiveWorkload, TreeForward};
+use crate::engine::{self, Faults, Plan, RequestReplyLoad, Workload};
 use crate::fault::{ChurnEvent, ChurnTarget, ChurnTimeline, FaultError, FaultSet, FaultSpec};
 use crate::observer::{NoopObserver, SimObserver};
 use crate::report::Report;
-use crate::router::RouterSpec;
-use crate::simulator::{
-    simulate_churn, simulate_collective, simulate_request_reply, simulate_wormhole,
-    simulate_wormhole_faulted,
-};
+use crate::router::{Router, RouterSpec};
 use crate::switching::SwitchingSpec;
 use crate::topology::Topology;
 use crate::traffic::TrafficSpec;
@@ -439,9 +433,7 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
 
     /// Selects the switching model (default
     /// [`SwitchingSpec::StoreAndForward`]). A wormhole spec routes the
-    /// run through the flit-level engine
-    /// ([`simulate_wormhole`] /
-    /// [`simulate_wormhole_faulted`]): packets split into flits, stream
+    /// run through the flit-level engine: packets split into flits, stream
     /// through per-`(edge × virtual channel)` ring buffers under
     /// credit-based backpressure, and virtual channels are allocated
     /// against the topology's
@@ -537,7 +529,7 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
 
     /// Validates the configuration, generates the workload, materialises
     /// the fault scenario, resolves the router, runs the engine (healthy
-    /// or degraded), and assembles the [`Report`]. A configured
+    /// or degraded) once, and assembles the [`Report`]. A configured
     /// [`collective`](Experiment::collective) replaces the traffic
     /// workload and adds its [`CollectiveOutcome`] to the report.
     pub fn run(mut self) -> Result<Report, ExperimentError>
@@ -559,64 +551,84 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
         let fault_set = self
             .faults
             .sample(self.topology.graph(), fault_seed(self.seed))?;
-        if let Some(spec) = self.collective.take() {
-            return self.run_collective(spec, fault_set);
-        }
-        self.traffic.validate(n)?;
-        if self.faults.is_churn() || matches!(self.traffic, TrafficSpec::RequestReply { .. }) {
-            return self.run_dynamic(fault_set);
-        }
-        let router = self.router.resolve(self.topology)?;
-        // A degraded run executes the fault-masking wrapper, and the
-        // report should say so rather than claim the bare policy ran.
-        let router_name = if fault_set.is_empty() {
-            router.name()
-        } else {
+        let collective = self.collective.take();
+        let workload = match &collective {
+            Some(spec) => match spec.compile(
+                self.topology.graph(),
+                &fault_set,
+                collective_seed(self.seed),
+            )? {
+                CollectiveWorkload::Tree(plan) => Workload::Tree(plan),
+                CollectiveWorkload::Unicasts(packets) => Workload::Packets(packets),
+            },
+            None => {
+                self.traffic.validate(n)?;
+                if self.faults.is_churn()
+                    || matches!(self.traffic, TrafficSpec::RequestReply { .. })
+                {
+                    self.dynamic_workload(&fault_set)?
+                } else {
+                    Workload::Packets(self.traffic.generate(n, self.seed))
+                }
+            }
+        };
+        // Tree forwarding consults no routing policy: the plan resolved
+        // every edge at compile time. Every other workload runs the
+        // requested policy — behind the fault-masking wrapper when the
+        // network is degraded, and the report says so rather than claim
+        // the bare policy ran.
+        let (router, degraded) = match &workload {
+            Workload::Tree(_) => (
+                Box::new(TreeForward) as Box<dyn Router + Send + Sync>,
+                false,
+            ),
+            Workload::Packets(_) => (self.router.resolve(self.topology)?, !fault_set.is_empty()),
+            Workload::Churn { timeline, .. } | Workload::RequestReply { timeline, .. } => {
+                (self.router.resolve(self.topology)?, !timeline.is_empty())
+            }
+        };
+        let router_name = if degraded {
             crate::router::masked_router_name(&router.name())
-        };
-        let packets = self.traffic.generate(n, self.seed);
-        // `simulate_wormhole*` / `simulate_parallel_wormhole` dispatch
-        // on the spec: store-and-forward runs the packet engine,
-        // wormhole runs the flit-level engine. A thread budget above 1
-        // shards either through the pooled stepper — bit-identical
-        // results, so the choice is invisible in the report.
-        let stats = if self.threads > 1 {
-            simulate_parallel_wormhole(
-                self.topology,
-                &*router,
-                &self.switching,
-                &fault_set,
-                &packets,
-                self.max_cycles,
-                self.threads,
-                &mut self.observer,
-            )
-        } else if fault_set.is_empty() {
-            simulate_wormhole(
-                self.topology,
-                &*router,
-                &self.switching,
-                &packets,
-                self.max_cycles,
-                &mut self.observer,
-            )
         } else {
-            simulate_wormhole_faulted(
-                self.topology,
-                &*router,
-                &self.switching,
-                &fault_set,
-                &packets,
-                self.max_cycles,
-                &mut self.observer,
-            )
+            router.name()
         };
+        let plan = Plan {
+            topology: self.topology,
+            router: &*router,
+            workload,
+            switching: self.switching.clone(),
+            faults: Faults::Set(&fault_set),
+            max_cycles: self.max_cycles,
+        };
+        let (stats, reached) = engine::run(&plan, self.threads, &mut self.observer);
+        let collective = collective.map(|spec| {
+            let (targets, schedule_rounds) = match &plan.workload {
+                // Only the full broadcast has an exact static oracle;
+                // pruned multicast trees re-serialize more tightly.
+                Workload::Tree(tree) => (
+                    tree.targets(),
+                    spec.is_broadcast().then(|| tree.schedule_rounds()),
+                ),
+                Workload::Packets(packets) => (packets.len(), None),
+                _ => unreachable!("collectives compile to trees or unicasts"),
+            };
+            CollectiveOutcome {
+                spec: spec.to_string(),
+                targets,
+                reached,
+                schedule_rounds,
+                completion_cycles: stats.makespan,
+            }
+        });
         Ok(Report {
             topology: self.topology.name(),
             nodes: n,
             router_spec: self.router.to_string(),
             router: router_name,
-            traffic: self.traffic.to_string(),
+            traffic: match &collective {
+                Some(outcome) => outcome.spec.clone(),
+                None => self.traffic.to_string(),
+            },
             switching: self.switching.to_string(),
             faults: self.faults.to_string(),
             failed_nodes: fault_set.failed_nodes().len(),
@@ -624,7 +636,7 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
             seed: self.seed,
             max_cycles: self.max_cycles,
             stats,
-            collective: None,
+            collective,
             sections: self.observer.sections(),
         })
     }
@@ -635,7 +647,8 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
     /// Checked up front so the failure is a typed error naming the
     /// observer type, never a mid-run panic or a silent serial fallback.
     fn ensure_forkable(&self) -> Result<(), ExperimentError> {
-        if self.threads > 1 && self.topology.len() > 1 && self.observer.fork().is_none() {
+        let lanes = engine::lane_count(self.topology.len(), self.threads);
+        if lanes > 1 && self.observer.fork().is_none() {
             return Err(ExperimentError::UnforkableObserver {
                 observer: std::any::type_name::<O>().to_string(),
                 threads: self.threads,
@@ -644,20 +657,13 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
         Ok(())
     }
 
-    /// The dynamic half of [`run`](Experiment::run): fault churn and/or
-    /// closed-loop `request_reply` traffic, both executed by the churn
-    /// engine — [`simulate_churn`] / [`simulate_request_reply`] serially,
-    /// [`simulate_parallel_churn_observed`] /
-    /// [`simulate_parallel_request_reply`] under a thread budget. A
-    /// churn spec draws its event timeline from the experiment seed over
-    /// the `[0, max_cycles)` horizon; a *static* fault set under
-    /// closed-loop traffic becomes the equivalent timeline of fail
-    /// events pinned to cycle 0.
-    fn run_dynamic(mut self, fault_set: FaultSet) -> Result<Report, ExperimentError>
-    where
-        O: Send,
-    {
-        let n = self.topology.len();
+    /// The dynamic workloads: fault churn and/or closed-loop
+    /// `request_reply` traffic, both executed by the churn engine on the
+    /// store-and-forward lane. A churn spec draws its event timeline from
+    /// the experiment seed over the `[0, max_cycles)` horizon; a *static*
+    /// fault set under closed-loop traffic becomes the equivalent
+    /// timeline of fail events pinned to cycle 0.
+    fn dynamic_workload(&self, fault_set: &FaultSet) -> Result<Workload, ExperimentError> {
         let closed_loop = matches!(self.traffic, TrafficSpec::RequestReply { .. });
         let feature = if self.faults.is_churn() {
             self.faults.to_string()
@@ -715,202 +721,26 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
                     })),
             ),
         };
-        let router = self.router.resolve(self.topology)?;
-        let router_name = if timeline.is_empty() {
-            router.name()
-        } else {
-            crate::router::masked_router_name(&router.name())
-        };
-        let stats = if closed_loop {
-            let TrafficSpec::RequestReply {
+        Ok(match self.traffic {
+            TrafficSpec::RequestReply {
                 clients,
                 think,
                 timeout,
                 retries,
-            } = self.traffic
-            else {
-                unreachable!("closed_loop implies RequestReply")
-            };
-            let load = RequestReplyLoad {
-                clients,
-                think,
-                timeout,
-                retries,
-                seed: self.seed,
-            };
-            if self.threads > 1 {
-                simulate_parallel_request_reply(
-                    self.topology,
-                    &*router,
-                    &timeline,
-                    &load,
-                    self.max_cycles,
-                    self.threads,
-                    &mut self.observer,
-                )
-            } else {
-                simulate_request_reply(
-                    self.topology,
-                    &*router,
-                    &timeline,
-                    &load,
-                    self.max_cycles,
-                    &mut self.observer,
-                )
-            }
-        } else {
-            let packets = self.traffic.generate(n, self.seed);
-            if self.threads > 1 {
-                simulate_parallel_churn_observed(
-                    self.topology,
-                    &*router,
-                    &timeline,
-                    &packets,
-                    self.max_cycles,
-                    self.threads,
-                    &mut self.observer,
-                )
-            } else {
-                simulate_churn(
-                    self.topology,
-                    &*router,
-                    &timeline,
-                    &packets,
-                    self.max_cycles,
-                    &mut self.observer,
-                )
-            }
-        };
-        Ok(Report {
-            topology: self.topology.name(),
-            nodes: n,
-            router_spec: self.router.to_string(),
-            router: router_name,
-            traffic: self.traffic.to_string(),
-            switching: self.switching.to_string(),
-            faults: self.faults.to_string(),
-            failed_nodes: fault_set.failed_nodes().len(),
-            failed_links: fault_set.failed_links().len(),
-            seed: self.seed,
-            max_cycles: self.max_cycles,
-            stats,
-            collective: None,
-            sections: self.observer.sections(),
-        })
-    }
-
-    /// The collective half of [`run`](Experiment::run): compiles the spec
-    /// against the (possibly degraded) network and executes it — tree
-    /// collectives by replication through [`simulate_collective`]
-    /// ([`simulate_parallel_collective`] under a thread budget), the
-    /// personalized exchange as routed unicasts through the ordinary
-    /// (healthy or faulted) engine.
-    fn run_collective(
-        mut self,
-        spec: CollectiveSpec,
-        fault_set: crate::fault::FaultSet,
-    ) -> Result<Report, ExperimentError>
-    where
-        O: Send,
-    {
-        let n = self.topology.len();
-        let workload = spec.compile(
-            self.topology.graph(),
-            &fault_set,
-            collective_seed(self.seed),
-        )?;
-        let (stats, router_name, outcome) = match workload {
-            CollectiveWorkload::Tree(plan) => {
-                let (stats, reached) = if self.threads > 1 {
-                    simulate_parallel_collective(
-                        self.topology,
-                        &plan,
-                        self.max_cycles,
-                        self.threads,
-                        &mut self.observer,
-                    )
-                } else {
-                    simulate_collective(self.topology, &plan, self.max_cycles, &mut self.observer)
-                };
-                let outcome = CollectiveOutcome {
-                    spec: spec.to_string(),
-                    targets: plan.targets(),
-                    reached,
-                    // Only the full broadcast has an exact static oracle;
-                    // pruned multicast trees re-serialize more tightly.
-                    schedule_rounds: spec.is_broadcast().then(|| plan.schedule_rounds()),
-                    completion_cycles: stats.makespan,
-                };
-                // Tree forwarding consults no routing policy: the plan
-                // resolved every edge at compile time.
-                (stats, "tree-forward".to_string(), outcome)
-            }
-            CollectiveWorkload::Unicasts(packets) => {
-                let router = self.router.resolve(self.topology)?;
-                let router_name = if fault_set.is_empty() {
-                    router.name()
-                } else {
-                    crate::router::masked_router_name(&router.name())
-                };
-                // Routed unicasts honor the switching spec (the
-                // `simulate_wormhole*` entry points delegate
-                // store-and-forward specs to the packet engine).
-                let stats = if self.threads > 1 {
-                    simulate_parallel_wormhole(
-                        self.topology,
-                        &*router,
-                        &self.switching,
-                        &fault_set,
-                        &packets,
-                        self.max_cycles,
-                        self.threads,
-                        &mut self.observer,
-                    )
-                } else if fault_set.is_empty() {
-                    simulate_wormhole(
-                        self.topology,
-                        &*router,
-                        &self.switching,
-                        &packets,
-                        self.max_cycles,
-                        &mut self.observer,
-                    )
-                } else {
-                    simulate_wormhole_faulted(
-                        self.topology,
-                        &*router,
-                        &self.switching,
-                        &fault_set,
-                        &packets,
-                        self.max_cycles,
-                        &mut self.observer,
-                    )
-                };
-                let outcome = CollectiveOutcome {
-                    spec: spec.to_string(),
-                    targets: packets.len(),
-                    reached: stats.delivered,
-                    schedule_rounds: None,
-                    completion_cycles: stats.makespan,
-                };
-                (stats, router_name, outcome)
-            }
-        };
-        Ok(Report {
-            topology: self.topology.name(),
-            nodes: n,
-            router_spec: self.router.to_string(),
-            router: router_name,
-            traffic: spec.to_string(),
-            switching: self.switching.to_string(),
-            faults: self.faults.to_string(),
-            failed_nodes: fault_set.failed_nodes().len(),
-            failed_links: fault_set.failed_links().len(),
-            seed: self.seed,
-            max_cycles: self.max_cycles,
-            stats,
-            collective: Some(outcome),
-            sections: self.observer.sections(),
+            } => Workload::RequestReply {
+                timeline,
+                load: RequestReplyLoad {
+                    clients,
+                    think,
+                    timeout,
+                    retries,
+                    seed: self.seed,
+                },
+            },
+            _ => Workload::Churn {
+                timeline,
+                packets: self.traffic.generate(self.topology.len(), self.seed),
+            },
         })
     }
 }
@@ -918,8 +748,8 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{simulate_reference, SimStats};
     use crate::observer::{LatencyHistogram, LinkHeatmap};
-    use crate::simulator::{simulate_with, SimStats};
     use crate::topology::{FibonacciNet, Hypercube, Ring};
 
     fn run_spec(topo: &dyn Topology, router: RouterSpec) -> Result<Report, ExperimentError> {
@@ -934,12 +764,12 @@ mod tests {
     }
 
     #[test]
-    fn experiment_reproduces_simulate_with_on_the_acceptance_pair() {
+    fn experiment_reproduces_the_reference_engine_on_the_acceptance_pair() {
         // Acceptance criterion: a no-op-observer experiment must match
-        // `simulate_with` packet for packet on Γ_16 and Q_11 — same
-        // histogram, makespan, hops, everything — and the zero-fault
-        // path (explicit empty FaultSpec) must be indistinguishable
-        // from the healthy engine.
+        // the full-scan reference engine packet for packet on Γ_16 and
+        // Q_11 — same histogram, makespan, hops, everything — and the
+        // zero-fault path (explicit empty FaultSpec) must be
+        // indistinguishable from the healthy engine.
         let gamma = FibonacciNet::classical(16);
         let q = Hypercube::new(11);
         for topo in [&gamma as &dyn Topology, &q] {
@@ -947,12 +777,8 @@ mod tests {
                 count: 1500,
                 window: 400,
             };
-            let direct: SimStats = simulate_with(
-                topo,
-                &*topo.router(),
-                &spec.generate(topo.len(), 2026),
-                4_000_000,
-            );
+            let direct: SimStats =
+                simulate_reference(topo, &spec.generate(topo.len(), 2026), 4_000_000);
             let report = Experiment::on(topo)
                 .traffic(spec.clone())
                 .seed(2026)

@@ -13,8 +13,8 @@
 //! so a failure scenario lives on a CLI flag or in a JSON report exactly
 //! like a [`TrafficSpec`](crate::traffic::TrafficSpec). Sampling a spec
 //! against a concrete graph yields a [`FaultSet`], which the *live*
-//! simulation path (the fault-masking router and
-//! [`simulate_faulted`](crate::simulator::simulate_faulted)) routes
+//! simulation path (the fault-masking router behind
+//! [`Experiment::faults`](crate::experiment::Experiment::faults)) routes
 //! around and the static path ([`fault_set_trial`]) analyses.
 //!
 //! Degenerate inputs are typed [`FaultError`]s, not panics: asking to
@@ -495,8 +495,8 @@ impl FromStr for FaultSpec {
 /// A materialised set of failures: the failed node ids and failed
 /// undirected links, normalised (sorted, deduplicated, links stored as
 /// `(min, max)`). Produced by [`FaultSpec::sample`]; consumed by the
-/// live engine ([`simulate_faulted`](crate::simulator::simulate_faulted)
-/// via the [`FaultMaskingRouter`](crate::router::FaultMaskingRouter))
+/// live engine (via the
+/// [`FaultMaskingRouter`](crate::router::FaultMaskingRouter))
 /// and the static analysis ([`fault_set_trial`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultSet {

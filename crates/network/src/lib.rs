@@ -16,22 +16,18 @@
 //! * [`router`] — routing *policies* split out of the topologies: e-cube,
 //!   precomputed canonical-path, and load-aware adaptive minimal routing,
 //!   named declaratively by [`RouterSpec`];
-//! * [`engine`] — the unified simulation engine: one composable,
-//!   arena-backed active-set core parameterized by compile-time policy
-//!   traits ([`engine::policy`] — switching × faults × replication ×
-//!   observer) behind every `simulate*` entry point, the original
-//!   full-scan engines as reference oracles, and **one cycle stepper**
-//!   both drivers execute: the serial entry points run it on one lane,
-//!   the `simulate_parallel*` family shards it across a scoped thread
-//!   pool with a propose/commit outbox protocol — bit-identical to the
-//!   serial engine at any thread count for every policy combination
-//!   (store-and-forward, wormhole, churn, request/reply, collectives,
-//!   forked observers), plus the dynamic-fault engines:
-//!   [`simulate_churn`] applies a seeded mid-run fail/recover event
-//!   timeline at cycle boundaries, and [`simulate_request_reply`]
-//!   drives closed-loop clients with timeout-and-retry delivery;
-//! * [`simulator`] — source-compatibility facade re-exporting the
-//!   engine's entry points under their historical paths;
+//! * [`engine`] — the unified simulation engine behind
+//!   [`Experiment::run`]: one crate-internal door taking the workload,
+//!   the switching spec, the faults and the lane count as plain data,
+//!   one lane runner (one lane on the calling thread, or `k` on a scoped
+//!   thread pool with a propose/commit outbox protocol — bit-identical
+//!   at any lane count), and **one cycle stepper** every lane executes,
+//!   with compile-time policy traits (switching × faults × replication ×
+//!   observer) covering store-and-forward and wormhole switching,
+//!   static faults, seeded mid-run fault churn with incremental route
+//!   repair, closed-loop request/reply clients, and collectives. The
+//!   original full-scan engines stay public as reference oracles
+//!   ([`simulate_reference`], [`simulate_faulted_reference`]);
 //! * [`arena`] — the engine's storage core: the struct-of-arrays
 //!   [`PacketSlab`] and the occupancy-sized ring-buffer [`LinkQueues`]
 //!   (4 B per directed link plus O(occupied links + spilled packets));
@@ -102,7 +98,6 @@ pub mod metrics;
 pub mod observer;
 pub mod report;
 pub mod router;
-pub mod simulator;
 pub mod sweep;
 pub mod switching;
 pub mod topology;
@@ -116,9 +111,8 @@ pub use collective::{CollectiveOutcome, CollectiveSpec, CopyPlan, Port};
 pub use dist::{DistanceSample, DistanceTable};
 pub use embedding::{embed_hypercube, embed_path, embed_ring, Embedding};
 pub use engine::{
-    simulate_parallel, simulate_parallel_churn, simulate_parallel_churn_observed,
-    simulate_parallel_collective, simulate_parallel_observed, simulate_parallel_request_reply,
-    simulate_parallel_wormhole,
+    simulate_faulted_reference, simulate_reference, DropReason, LogHistogram, SimStats,
+    DENSE_HISTOGRAM_NODE_LIMIT,
 };
 pub use experiment::{Experiment, ExperimentError};
 pub use fault::{
@@ -137,17 +131,11 @@ pub use router::{
     AdaptiveMinimal, CanonicalRouter, EcubeRouter, FaultMaskingRouter, LinkLoad, NextHopRouter,
     NextHopTable, NoLoad, Router, RouterSpec, TABLE_BYTE_BUDGET,
 };
-pub use simulator::{
-    simulate, simulate_churn, simulate_collective, simulate_faulted, simulate_faulted_reference,
-    simulate_observed, simulate_reference, simulate_request_reply, simulate_with,
-    simulate_wormhole, simulate_wormhole_faulted, DropReason, LogHistogram, RequestReplyLoad,
-    SimStats, DENSE_HISTOGRAM_NODE_LIMIT,
-};
 pub use sweep::{
-    churn_sweep, collective_sweep, fault_load_sweep, injection_sweep, injection_sweep_with,
-    rate_ladder, saturation_point, switching_sweep, ChurnGrid, ChurnPoint, CollectiveGrid,
-    CollectivePoint, FaultLoadGrid, FaultLoadPoint, LoadPoint, SweepConfig, SweepCurve,
-    SwitchingGrid, SwitchingPoint,
+    churn_sweep, collective_sweep, fault_load_sweep, injection_sweep, rate_ladder,
+    saturation_point, switching_sweep, ChurnGrid, ChurnPoint, CollectiveGrid, CollectivePoint,
+    FaultLoadGrid, FaultLoadPoint, LoadPoint, SweepConfig, SweepCurve, SwitchingGrid,
+    SwitchingPoint,
 };
 pub use switching::{SwitchingSpec, VcOccupancy, PACKET_LENGTH_UNITS};
 pub use topology::{FibonacciNet, Hypercube, Mesh, Ring, RouteError, Topology};

@@ -449,8 +449,8 @@ impl<T: HammingAddressed + ?Sized> Router for AdaptiveMinimal<'_, T> {
 
 /// Adapter running a topology's built-in distributed rule
 /// ([`Topology::next_hop`]) as a [`Router`], ignoring link load. This is
-/// what [`simulate`](crate::simulator::simulate) falls back to for
-/// topologies without a dedicated split-out router (ring, mesh).
+/// what the preferred router falls back to for topologies without a
+/// dedicated split-out router (ring, mesh).
 #[derive(Clone, Copy, Debug)]
 pub struct NextHopRouter<'a, T: Topology + ?Sized> {
     topo: &'a T,
@@ -508,7 +508,7 @@ impl<T: Topology + ?Sized> Router for NextHopRouter<'_, T> {
 /// Every hop strictly decreases the healthy distance, so routes on the
 /// degraded network remain livelock-free; packets whose destination is
 /// unreachable must be dropped by the engine *before* routing
-/// ([`simulate_faulted`](crate::simulator::simulate_faulted) does), and
+/// (the engine's injection admission does), and
 /// [`FaultMaskingRouter::reachable`] is the query it uses.
 ///
 /// The adapter never tabulates ([`Router::precompute`] stays `None`):

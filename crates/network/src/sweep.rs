@@ -28,8 +28,8 @@
 //! credit-based backpressure move the latency knee relative to the
 //! packet-atomic engine.
 //!
-//! [`churn_sweep`] leaves the static-fault world entirely: it runs the
-//! dynamic-churn engine ([`simulate_churn`]) across a ladder of
+//! [`churn_sweep`] leaves the static-fault world entirely: it runs
+//! [`FaultSpec::Churn`] experiments across a ladder of
 //! mean-time-to-repair values with an [`SloTracker`] attached, producing
 //! the recovery-time-vs-MTTR grid — how long after each fail event the
 //! network takes to meet its delivered-fraction target again, and what
@@ -39,13 +39,12 @@ use fibcube_graph::parallel::par_map;
 
 use crate::collective::{CollectiveOutcome, CollectiveSpec};
 use crate::dist::DistanceTable;
-use crate::engine::simulate_premasked;
+use crate::engine::{self, Faults, Plan, SimStats, Workload};
 use crate::experiment::{fault_seed, run_cells, Experiment, ExperimentError};
-use crate::fault::{ChurnTimeline, FaultSpec};
+use crate::fault::FaultSpec;
 use crate::observer::{NoopObserver, SloRecovery, SloTracker, SloWindow};
 use crate::report::JsonValue;
-use crate::router::{FaultMaskingRouter, Router, RouterSpec};
-use crate::simulator::{simulate_churn, simulate_with, SimStats};
+use crate::router::{FaultMaskingRouter, RouterSpec};
 use crate::switching::SwitchingSpec;
 use crate::topology::Topology;
 use crate::traffic::TrafficSpec;
@@ -183,8 +182,7 @@ fn aggregate(rates: &[f64], runs: &[SimStats], n: usize, config: &SweepConfig) -
 /// would serialize construction order into the sweep's cell fan-out,
 /// and a rebuild (`O(n·d)` for the canonical flip table, the most
 /// expensive case) is microseconds against the milliseconds each
-/// simulation run costs. Callers holding a concrete `Router + Sync` can
-/// share one instance across all runs via [`injection_sweep_with`].
+/// simulation run costs.
 pub fn injection_sweep<T>(
     topo: &T,
     router: RouterSpec,
@@ -225,44 +223,6 @@ where
         nodes: topo.len(),
         points: aggregate(rates, &runs, topo.len(), config),
     })
-}
-
-/// Like [`injection_sweep`], but under an explicit [`Router`] value —
-/// the escape hatch for policies that exist outside [`RouterSpec`]
-/// (custom experiments, research routers).
-pub fn injection_sweep_with<T, R>(
-    topo: &T,
-    router: &R,
-    rates: &[f64],
-    config: &SweepConfig,
-) -> SweepCurve
-where
-    T: Topology + Sync + ?Sized,
-    R: Router + Sync + ?Sized,
-{
-    let n = topo.len();
-    let seeds = &config.seeds;
-    assert!(!seeds.is_empty(), "sweep needs at least one seed");
-    let runs = par_map(rates.len() * seeds.len(), |j| {
-        let rung = j / seeds.len();
-        let pkts = TrafficSpec::Bernoulli {
-            rate: rates[rung],
-            cycles: config.inject_cycles,
-        }
-        .generate(n, rung_seed(seeds[j % seeds.len()], rung));
-        simulate_with(
-            topo,
-            router,
-            &pkts,
-            config.inject_cycles + config.drain_cycles,
-        )
-    });
-    SweepCurve {
-        topology: topo.name(),
-        router: router.name(),
-        nodes: n,
-        points: aggregate(rates, &runs, n, config),
-    }
 }
 
 /// One cell of a [`fault_load_sweep`] grid: the aggregated outcome at
@@ -431,32 +391,40 @@ where
     let cap = config.inject_cycles + config.drain_cycles;
     // (fault count, seed) columns fan out across the workspace pool; the
     // rate ladder replays serially inside each column against its cached
-    // masked router. Empty columns (zero faults) run the healthy engine
-    // directly, mirroring `simulate_faulted`'s empty-set delegation.
+    // masked router. Empty columns (zero faults) run the healthy engine,
+    // exactly as the engine treats an empty fault set.
     let runs: Vec<Vec<SimStats>> = par_map(fault_sets.len(), |j| {
         let fi = j / seeds.len();
         let faults = &fault_sets[j];
         let router = router
             .resolve(topo)
             .expect("router capability was checked above");
-        let traffic = |ri: usize| {
-            let cell = ri * fault_counts.len() + fi;
-            TrafficSpec::Bernoulli {
-                rate: rates[ri],
-                cycles: config.inject_cycles,
-            }
-            .generate(n, rung_seed(seeds[j % seeds.len()], cell))
-        };
-        if faults.is_empty() {
-            return (0..rates.len())
-                .map(|ri| simulate_with(topo, &*router, &traffic(ri), cap))
-                .collect();
-        }
-        let masks = faults.masks(g);
-        let dist = DistanceTable::degraded(g, &masks);
-        let masked = FaultMaskingRouter::with_table(g, &*router, faults, masks, dist);
+        let masked = (!faults.is_empty()).then(|| {
+            let masks = faults.masks(g);
+            let dist = DistanceTable::degraded(g, &masks);
+            FaultMaskingRouter::with_table(g, &*router, faults, masks, dist)
+        });
         (0..rates.len())
-            .map(|ri| simulate_premasked(topo, &masked, &traffic(ri), cap, &mut NoopObserver))
+            .map(|ri| {
+                let cell = ri * fault_counts.len() + fi;
+                let packets = TrafficSpec::Bernoulli {
+                    rate: rates[ri],
+                    cycles: config.inject_cycles,
+                }
+                .generate(n, rung_seed(seeds[j % seeds.len()], cell));
+                let plan = Plan {
+                    topology: topo,
+                    router: &*router,
+                    workload: Workload::Packets(packets),
+                    switching: SwitchingSpec::StoreAndForward,
+                    faults: match &masked {
+                        Some(masked) => Faults::Masked(masked),
+                        None => Faults::Set(faults),
+                    },
+                    max_cycles: cap,
+                };
+                engine::run(&plan, 1, &mut NoopObserver).0
+            })
             .collect()
     });
     let m = seeds.len() as f64;
@@ -795,8 +763,7 @@ impl SwitchingGrid {
 /// `switching` section of `BENCH_sim.json`. One [`Experiment`] per
 /// (rate, switching model, seed) run with open-loop Bernoulli traffic,
 /// parallel across runs like [`injection_sweep`]. Wormhole cells run the
-/// flit-level engine ([`simulate_wormhole`](crate::simulator::simulate_wormhole))
-/// with virtual channels and credit backpressure, so the grid exposes
+/// flit-level engine with virtual channels and credit backpressure, so the grid exposes
 /// both the serialization cost at light load and the earlier saturation
 /// knee under finite flit buffering. Configuration problems (unsupported
 /// router, degenerate traffic or switching specs) fail fast with a typed
@@ -1019,10 +986,11 @@ struct ChurnRun {
 
 /// Runs the dynamic-churn engine across a ladder of mean-time-to-repair
 /// values — the recovery-vs-MTTR grid behind the `churn` section of
-/// `BENCH_sim.json`. Each (MTTR, seed) cell generates a seeded
-/// [`ChurnTimeline`] at the given per-cycle node/link failure
-/// intensities, drives open-loop Bernoulli traffic at `rate` through
-/// [`simulate_churn`] with an [`SloTracker`] attached, and reports
+/// `BENCH_sim.json`. Each (MTTR, seed) cell is one [`Experiment`] with a
+/// [`FaultSpec::Churn`] scenario — a seeded
+/// [`ChurnTimeline`](crate::fault::ChurnTimeline) at the given per-cycle
+/// node/link failure intensities — driving open-loop Bernoulli traffic
+/// at `rate` with an [`SloTracker`] attached, and reports
 /// SLO-grade aggregates: per-fail-event time-to-recover, the fraction
 /// of fail events service recovered from, windowed worst-case tail
 /// latency, and the typed drop taxonomy (packets lost on dying
@@ -1058,38 +1026,43 @@ where
         }
         .validate(g)?;
     }
-    let n = topo.len();
     let seeds = &config.seeds;
     let cap = config.inject_cycles + config.drain_cycles;
     // Recovery times are measured at window granularity; an eighth of
     // the injection phase keeps several windows inside it without
     // starving each of traffic.
     let slo_window = (config.inject_cycles / 8).max(1);
-    let runs: Vec<ChurnRun> = par_map(mttrs.len() * seeds.len(), |j| {
+    let runs = par_map(mttrs.len() * seeds.len(), |j| {
         let mi = j / seeds.len();
-        let seed = rung_seed(seeds[j % seeds.len()], mi);
-        let router = router
-            .resolve(topo)
-            .expect("router capability was checked above");
-        let timeline =
-            ChurnTimeline::generate(g, node_rate, link_rate, mttrs[mi], fault_seed(seed), cap);
-        let pkts = TrafficSpec::Bernoulli {
-            rate,
-            cycles: config.inject_cycles,
-        }
-        .generate(n, seed);
         let mut slo = SloTracker::new(slo_window);
-        let stats = simulate_churn(topo, &*router, &timeline, &pkts, cap, &mut slo);
+        let stats = Experiment::on(topo)
+            .router(router)
+            .traffic(TrafficSpec::Bernoulli {
+                rate,
+                cycles: config.inject_cycles,
+            })
+            .faults(FaultSpec::Churn {
+                node_rate,
+                link_rate,
+                mttr: mttrs[mi],
+            })
+            .seed(rung_seed(seeds[j % seeds.len()], mi))
+            .cycles(cap)
+            .observe(&mut slo)
+            .run()?
+            .stats;
         let fails: Vec<SloRecovery> = slo.recoveries().into_iter().filter(|r| r.failed).collect();
-        ChurnRun {
+        Ok(ChurnRun {
             stats,
             events: slo.fault_events().len() as u64,
             fail_events: fails.len() as u64,
             recovered: fails.iter().filter(|r| r.time_to_recover.is_some()).count() as u64,
             recover_cycles: fails.iter().filter_map(|r| r.time_to_recover).sum(),
             worst_window_p999: slo.windows().iter().map(SloWindow::p999).max().unwrap_or(0),
-        }
-    });
+        })
+    })
+    .into_iter()
+    .collect::<Result<Vec<ChurnRun>, ExperimentError>>()?;
     let m = seeds.len() as f64;
     let points = mttrs
         .iter()
@@ -1136,7 +1109,7 @@ where
     Ok(ChurnGrid {
         topology: topo.name(),
         router: router_name,
-        nodes: n,
+        nodes: topo.len(),
         rate,
         node_rate,
         link_rate,
@@ -1171,7 +1144,6 @@ pub fn saturation_point(curve: &SweepCurve, threshold: f64) -> Option<&LoadPoint
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::CanonicalRouter;
     use crate::topology::{FibonacciNet, Hypercube, Ring};
 
     fn quick_config() -> SweepConfig {
@@ -1229,17 +1201,29 @@ mod tests {
     }
 
     #[test]
-    fn spec_sweep_matches_explicit_router_sweep() {
-        // The declarative path must produce the same curve as handing the
-        // resolved router in directly (same seeds ⇒ same runs).
+    fn spec_sweep_matches_the_reference_engine_cell_by_cell() {
+        // Every (rate, seed) cell of the declarative sweep is an
+        // `Experiment`; replaying the same cell streams through the
+        // full-scan reference engine must give the same curve.
         let net = FibonacciNet::classical(7);
         let rates = [0.02, 0.1];
         let config = quick_config();
-        let via_spec = injection_sweep(&net, RouterSpec::Canonical, &rates, &config).unwrap();
-        let router = CanonicalRouter::for_net(&net);
-        let via_router = injection_sweep_with(&net, &router, &rates, &config);
-        assert_eq!(via_spec.router, via_router.router);
-        for (a, b) in via_spec.points.iter().zip(&via_router.points) {
+        let curve = injection_sweep(&net, RouterSpec::Canonical, &rates, &config).unwrap();
+        let seeds = &config.seeds;
+        let runs: Vec<SimStats> = (0..rates.len() * seeds.len())
+            .map(|j| {
+                let rung = j / seeds.len();
+                let packets = TrafficSpec::Bernoulli {
+                    rate: rates[rung],
+                    cycles: config.inject_cycles,
+                }
+                .generate(net.len(), rung_seed(seeds[j % seeds.len()], rung));
+                let cap = config.inject_cycles + config.drain_cycles;
+                crate::engine::simulate_reference(&net, &packets, cap)
+            })
+            .collect();
+        let oracle = aggregate(&rates, &runs, net.len(), &config);
+        for (a, b) in curve.points.iter().zip(&oracle) {
             assert_eq!(a.delivered, b.delivered);
             assert_eq!(a.mean_latency, b.mean_latency);
             assert_eq!(a.p99_latency, b.p99_latency);

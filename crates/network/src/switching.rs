@@ -25,9 +25,9 @@
 //! packet holds buffer space on every link it spans — the
 //! characteristic coupling that makes wormhole latency
 //! distance-insensitive at low load and makes deadlock a real hazard at
-//! high load. The engine behind it is
-//! [`simulate_wormhole`](crate::simulator::simulate_wormhole), with
-//! credit-based backpressure (a flit only advances when the next buffer
+//! high load. The engine runs it (through
+//! [`Experiment::switching`](crate::experiment::Experiment::switching))
+//! with credit-based backpressure (a flit only advances when the next buffer
 //! has a free slot) and one flit crossing per physical link per cycle.
 //!
 //! # Deadlock freedom: order-based routing ⇒ acyclic channel dependencies

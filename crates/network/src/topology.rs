@@ -49,9 +49,9 @@ impl std::error::Error for RouteError {}
 ///
 /// `Send + Sync` is a supertrait: topologies are immutable once built
 /// (interior caches like the implicit network's lazy CSR use
-/// thread-safe cells), and the parallel engine
-/// ([`simulate_parallel`](crate::simulate_parallel)) shares them across
-/// its shard workers.
+/// thread-safe cells), and a sharded run
+/// ([`Experiment::threads`](crate::experiment::Experiment::threads))
+/// shares them across its lanes.
 pub trait Topology: Send + Sync {
     /// Human-readable name (`"Γ_8"`, `"Q_6"`, `"Ring_64"`, …).
     fn name(&self) -> String;
@@ -90,7 +90,7 @@ pub trait Topology: Send + Sync {
     /// strictly increasing (or, for topologies with wraparound links such
     /// as [`Ring`], decrease at most once — the classic dateline). The
     /// wormhole engine
-    /// ([`simulate_wormhole`](crate::simulator::simulate_wormhole)) keys
+    /// ([`SwitchingSpec::Wormhole`](crate::switching::SwitchingSpec)) keys
     /// virtual-channel selection to this order, which is what makes
     /// flit-level blocking deadlock-free by construction — see the
     /// [`switching`](crate::switching) module docs for the
@@ -106,7 +106,7 @@ pub trait Topology: Send + Sync {
     }
 
     /// The topology's preferred split-out [`Router`] — the policy
-    /// [`simulate`](crate::simulator::simulate) drives packets with.
+    /// [`RouterSpec::Preferred`](crate::router::RouterSpec) resolves to.
     /// Defaults to wrapping [`next_hop`](Topology::next_hop); hypercube
     /// and Fibonacci networks override with their `O(1)`-per-hop routers.
     fn router(&self) -> Box<dyn Router + Send + Sync + '_> {

@@ -3,37 +3,70 @@
 //! conserves packets (`delivered ≤ offered`, per-packet latency bounded
 //! below by graph distance) across topology families, and degraded runs
 //! never deliver more than the static reachability of their fault set
-//! allows.
+//! allows. Runs go through the one public door, [`Experiment`], and are
+//! checked against the reference oracles (`simulate_reference`,
+//! `simulate_faulted_reference` on `spec.generate(n, seed)`) and against
+//! themselves at other thread counts.
 
 use fibcube_graph::bfs::bfs_distances;
 use fibcube_network::broadcast::{broadcast_all_port, broadcast_one_port, verify_schedule};
 use fibcube_network::fault::{
     fault_set_trial, ChurnEvent, ChurnTarget, ChurnTimeline, FaultSet, FaultSpec,
 };
+use fibcube_network::observer::SimObserver;
 use fibcube_network::observer::{LatencyHistogram, LinkHeatmap, SloTracker};
-use fibcube_network::observer::{NoopObserver, SimObserver};
 use fibcube_network::router::{
     AdaptiveMinimal, CanonicalRouter, EcubeRouter, FaultMaskingRouter, NextHopRouter, NoLoad,
     Router,
-};
-use fibcube_network::simulator::{
-    simulate, simulate_churn, simulate_collective, simulate_faulted, simulate_faulted_reference,
-    simulate_reference, simulate_request_reply, simulate_with, simulate_wormhole,
-    simulate_wormhole_faulted, RequestReplyLoad,
 };
 use fibcube_network::switching::{SwitchingSpec, PACKET_LENGTH_UNITS};
 use fibcube_network::topology::{FibonacciNet, Hypercube, Mesh, Ring, Topology};
 use fibcube_network::traffic::{Packet, TrafficSpec};
 use fibcube_network::{
-    simulate_parallel, simulate_parallel_churn, simulate_parallel_churn_observed,
-    simulate_parallel_collective, simulate_parallel_observed, simulate_parallel_request_reply,
-    simulate_parallel_wormhole, CollectiveSpec, CopyPlan, DistanceTable, Experiment,
-    ImplicitFibonacciNet, ImplicitRouter, Port, RouterSpec,
+    simulate_faulted_reference, simulate_reference, CollectiveSpec, DistanceTable, Experiment,
+    ImplicitFibonacciNet, ImplicitRouter, JsonValue, Port, Report, RouterSpec,
 };
 use proptest::prelude::*;
 
 fn uniform(n: usize, count: usize, window: u64, seed: u64) -> Vec<Packet> {
     TrafficSpec::Uniform { count, window }.generate(n, seed)
+}
+
+/// The experiment of `traffic` (seeded with `seed`) on `topo` under the
+/// preferred router, capped at `cycles` — the starting point every test
+/// below refines with faults, switching, observers or threads.
+fn experiment<T: Topology + ?Sized>(
+    topo: &T,
+    traffic: TrafficSpec,
+    seed: u64,
+    cycles: u64,
+) -> Experiment<'_, T> {
+    Experiment::on(topo)
+        .traffic(traffic)
+        .seed(seed)
+        .cycles(cycles)
+}
+
+/// Runs a configuration the test knows to be valid.
+fn report<T: Topology + ?Sized, O: SimObserver + Send>(e: Experiment<'_, T, O>) -> Report {
+    e.run().expect("valid experiment configuration")
+}
+
+/// The report of `e` at `threads` with a latency histogram and a link
+/// heatmap attached, as JSON: the merged observer output rides in the
+/// report's sections, so whole-report equality compares both.
+fn paired<T: Topology + ?Sized>(e: Experiment<'_, T>, threads: usize) -> JsonValue {
+    let observed = e.observe((LatencyHistogram::new(), LinkHeatmap::new()));
+    report(observed.threads(threads)).to_json_value()
+}
+
+/// The explicit-list spelling of a sampled fault set, so an experiment
+/// runs exactly the set an oracle is handed.
+fn pinned(set: &FaultSet) -> FaultSpec {
+    FaultSpec::Mixed(vec![
+        FaultSpec::NodeList(set.failed_nodes().to_vec()),
+        FaultSpec::LinkList(set.failed_links().to_vec()),
+    ])
 }
 
 /// Walk `router` from every source toward `dst`, asserting strict distance
@@ -69,8 +102,9 @@ fn assert_progressive(topo: &dyn Topology, router: &dyn Router, dst: u32) {
 
 /// Conservation invariants of one simulation run: nothing is created,
 /// nothing delivered faster than the shortest path allows.
-fn assert_conservation(topo: &dyn Topology, packets: &[Packet], max_cycles: u64) {
-    let stats = simulate(topo, packets, max_cycles);
+fn assert_conservation(topo: &dyn Topology, traffic: &TrafficSpec, seed: u64, max_cycles: u64) {
+    let packets = &traffic.generate(topo.len(), seed);
+    let stats = report(experiment(topo, traffic.clone(), seed, max_cycles)).stats;
     assert_eq!(stats.offered, packets.len());
     assert!(stats.delivered <= stats.offered, "{}", topo.name());
     let hist_total: u64 = stats.latency_histogram.iter().sum();
@@ -135,32 +169,11 @@ proptest! {
             &Ring::new(11),
             &Mesh::new(4, 3),
         ] {
-            let pkts = uniform(topo.len(), count, window, seed);
+            let traffic = TrafficSpec::Uniform { count, window };
             // Generous cap: everything must arrive …
-            assert_conservation(topo, &pkts, 1_000_000);
+            assert_conservation(topo, &traffic, seed, 1_000_000);
             // … and a tight cap must only truncate, never create.
-            assert_conservation(topo, &pkts, 5);
-        }
-    }
-
-    #[test]
-    fn single_packet_latency_equals_distance(src_seed in 0u64..10_000, dst_seed in 0u64..10_000) {
-        // Without contention the engine must deliver in exactly
-        // distance(src, dst) cycles on every topology family.
-        for topo in [
-            &FibonacciNet::classical(8) as &dyn Topology,
-            &Hypercube::new(5),
-            &Ring::new(13),
-            &Mesh::new(5, 4),
-        ] {
-            let n = topo.len() as u64;
-            let src = (src_seed % n) as u32;
-            let dst = (dst_seed % n) as u32;
-            let d = bfs_distances(topo.graph(), src)[dst as usize] as u64;
-            let stats = simulate(topo, &[Packet { src, dst, inject_time: 3 }], 1_000_000);
-            prop_assert_eq!(stats.delivered, 1, "{}", topo.name());
-            prop_assert_eq!(stats.mean_latency, d as f64, "{}", topo.name());
-            prop_assert_eq!(stats.total_hops, d, "{}", topo.name());
+            assert_conservation(topo, &traffic, seed, 5);
         }
     }
 
@@ -174,7 +187,7 @@ proptest! {
             &Mesh::new(4, 4),
         ] {
             let pkts = uniform(topo.len(), count, window, seed);
-            let fast = simulate(topo, &pkts, 1_000_000);
+            let fast = report(experiment(topo, TrafficSpec::Uniform { count, window }, seed, 1_000_000)).stats;
             let slow = simulate_reference(topo, &pkts, 1_000_000);
             prop_assert_eq!(fast.delivered, slow.delivered, "{}", topo.name());
             prop_assert_eq!(fast.total_hops, slow.total_hops, "{}", topo.name());
@@ -182,23 +195,21 @@ proptest! {
     }
 
     #[test]
-    fn experiment_reproduces_simulate_with(count in 1usize..150, window in 0u64..80, seed in 0u64..10_000) {
+    fn experiment_matches_the_reference_engine_at_any_thread_count(count in 1usize..150, window in 0u64..80, seed in 0u64..10_000) {
         // The builder surface is sugar, not semantics: for any uniform
-        // workload the Experiment path must equal the raw engine call.
+        // workload the Experiment path equals the reference oracle on the
+        // same packet stream, and a thread budget changes nothing.
         for topo in [
             &FibonacciNet::classical(7) as &dyn Topology,
             &Hypercube::new(4),
             &Ring::new(11),
         ] {
             let spec = TrafficSpec::Uniform { count, window };
-            let direct = simulate_with(topo, &*topo.router(), &spec.generate(topo.len(), seed), 1_000_000);
-            let report = fibcube_network::Experiment::on(topo)
-                .traffic(spec)
-                .seed(seed)
-                .cycles(1_000_000)
-                .run()
-                .expect("preferred router always resolves");
-            prop_assert_eq!(report.stats, direct, "{}", topo.name());
+            let oracle = simulate_reference(topo, &spec.generate(topo.len(), seed), 1_000_000);
+            for threads in [1usize, 4] {
+                let stats = report(experiment(topo, spec.clone(), seed, 1_000_000).threads(threads)).stats;
+                prop_assert_eq!(&stats, &oracle, "{} at {} threads", topo.name(), threads);
+            }
         }
     }
 
@@ -284,7 +295,7 @@ proptest! {
             &Hypercube::new(4),
         ] {
             let pkts = mix.generate(topo.len(), seed);
-            let healthy_fast = simulate(topo, &pkts, 1_000_000);
+            let healthy_fast = report(experiment(topo, mix.clone(), seed, 1_000_000)).stats;
             let healthy_slow = simulate_reference(topo, &pkts, 1_000_000);
             prop_assert_eq!(&healthy_fast, &healthy_slow, "healthy {}", topo.name());
 
@@ -293,7 +304,7 @@ proptest! {
                 .expect("fault count below node count");
             let router = topo.router();
             let faulted_fast =
-                simulate_faulted(topo, &*router, &set, &pkts, 1_000_000, &mut NoopObserver);
+                report(experiment(topo, mix.clone(), seed, 1_000_000).faults(pinned(&set))).stats;
             let faulted_slow =
                 simulate_faulted_reference(topo, &*router, &set, &pkts, 1_000_000);
             prop_assert_eq!(&faulted_fast, &faulted_slow, "faulted {}", topo.name());
@@ -408,11 +419,9 @@ proptest! {
             &Ring::new(9),
             &Mesh::new(4, 3),
         ] {
-            let pkts = uniform(topo.len(), count, window, seed);
-            let router = topo.router();
-            let stats =
-                simulate_wormhole(topo, &*router, &spec, &pkts, 5_000_000, &mut NoopObserver);
-            prop_assert_eq!(stats.offered, pkts.len(), "{}", topo.name());
+            let traffic = TrafficSpec::Uniform { count, window };
+            let stats = report(experiment(topo, traffic, seed, 5_000_000).switching(spec.clone())).stats;
+            prop_assert_eq!(stats.offered, count, "{}", topo.name());
             prop_assert_eq!(stats.dropped(), 0, "healthy {}", topo.name());
             prop_assert_eq!(
                 stats.delivered, stats.offered,
@@ -538,12 +547,13 @@ proptest! {
                     .expect("fault count below node count"),
             ];
             for set in &fault_sets {
-                let serial =
-                    simulate_faulted(topo, &*router, set, &pkts, 1_000_000, &mut NoopObserver);
+                let oracle = simulate_faulted_reference(topo, &*router, set, &pkts, 1_000_000);
                 for t in [1usize, 2, 4, 8] {
-                    let sharded = simulate_parallel(topo, &*router, set, &pkts, 1_000_000, t);
+                    let traffic = TrafficSpec::Uniform { count, window };
+                    let e = experiment(topo, traffic, seed, 1_000_000).faults(pinned(set));
+                    let sharded = report(e.threads(t)).stats;
                     prop_assert_eq!(
-                        &sharded, &serial,
+                        &sharded, &oracle,
                         "{} with {} faults at {t} threads",
                         topo.name(), set.failed_nodes().len()
                     );
@@ -572,8 +582,9 @@ proptest! {
         // Adaptive minimal routing may pick different links under load but
         // every path is still shortest, so total hops equal the distance sum.
         let net = FibonacciNet::classical(8);
-        let pkts = uniform(net.len(), count, 40, seed);
-        let stats = simulate_with(&net, &AdaptiveMinimal::new(&net), &pkts, 1_000_000);
+        let traffic = TrafficSpec::Uniform { count, window: 40 };
+        let pkts = traffic.generate(net.len(), seed);
+        let stats = report(experiment(&net, traffic, seed, 1_000_000).router(RouterSpec::Adaptive)).stats;
         prop_assert_eq!(stats.delivered, stats.offered);
         let mut dist_sum = 0u64;
         for p in &pkts {
@@ -587,7 +598,8 @@ proptest! {
         // Equivalence gate of the churn engine, quiet end: zero failure
         // rates generate an empty timeline, and running the churn engine
         // with it must be *identical* to the healthy engine — full
-        // SimStats equality on every topology family.
+        // SimStats equality against the reference oracle on every
+        // topology family, and the report names the bare policy.
         for topo in [
             &FibonacciNet::classical(7) as &dyn Topology,
             &Hypercube::new(4),
@@ -597,41 +609,36 @@ proptest! {
             let timeline =
                 ChurnTimeline::generate(topo.graph(), 0.0, 0.0, 100.0, seed, 1_000_000);
             prop_assert!(timeline.is_empty(), "zero rates must generate no events");
-            let pkts = uniform(topo.len(), count, window, seed);
-            let router = topo.router();
-            let churned =
-                simulate_churn(topo, &*router, &timeline, &pkts, 1_000_000, &mut NoopObserver);
-            let healthy = simulate_with(topo, &*router, &pkts, 1_000_000);
-            prop_assert_eq!(&churned, &healthy, "{}", topo.name());
+            let traffic = TrafficSpec::Uniform { count, window };
+            let quiet = FaultSpec::Churn { node_rate: 0.0, link_rate: 0.0, mttr: 100.0 };
+            let churned = report(experiment(topo, traffic.clone(), seed, 1_000_000).faults(quiet));
+            let healthy = simulate_reference(topo, &traffic.generate(topo.len(), seed), 1_000_000);
+            prop_assert_eq!(&churned.stats, &healthy, "{}", topo.name());
+            prop_assert_eq!(churned.router, topo.router().name());
         }
     }
 
     #[test]
     fn parallel_churn_is_thread_count_independent(count in 1usize..100, window in 0u64..60, seed in 0u64..10_000) {
         // The churned extension of the sharded-engine determinism gate:
-        // with a live mid-run fail/recover timeline, one, two, four, or
-        // eight shards must produce SimStats identical to the serial
-        // churn engine — histograms, typed drops, makespan, everything.
+        // with a live mid-run fail/recover timeline, two, four, or eight
+        // shards must produce SimStats identical to the one-lane churn
+        // run — histograms, typed drops, makespan, everything.
         for topo in [
             &FibonacciNet::classical(7) as &dyn Topology,
             &Hypercube::new(4),
             &Ring::new(11),
             &Mesh::new(4, 3),
         ] {
-            let timeline =
-                ChurnTimeline::generate(topo.graph(), 0.01, 0.01, 40.0, seed, 500);
-            let pkts = uniform(topo.len(), count, window, seed);
-            let router = topo.router();
-            let serial =
-                simulate_churn(topo, &*router, &timeline, &pkts, 100_000, &mut NoopObserver);
-            for t in [1usize, 2, 4, 8] {
-                let sharded =
-                    simulate_parallel_churn(topo, &*router, &timeline, &pkts, 100_000, t);
-                prop_assert_eq!(
-                    &sharded, &serial,
-                    "{} with {} events at {t} threads",
-                    topo.name(), timeline.len()
-                );
+            let churn = FaultSpec::Churn { node_rate: 0.01, link_rate: 0.01, mttr: 40.0 };
+            let run = |t: usize| {
+                let traffic = TrafficSpec::Uniform { count, window };
+                report(experiment(topo, traffic, seed, 2_000).faults(churn.clone()).threads(t))
+            };
+            let serial = run(1);
+            prop_assert!(serial.router.starts_with("fault-masked("), "the timeline must not be empty");
+            for t in [2usize, 4, 8] {
+                prop_assert_eq!(&run(t).stats, &serial.stats, "{} at {t} threads", topo.name());
             }
         }
     }
@@ -718,26 +725,21 @@ proptest! {
             &Mesh::new(4, 3),
             &ImplicitFibonacciNet::classical(7),
         ] {
-            let pkts = uniform(topo.len(), count, window, seed);
-            let router = topo.router();
-            let fault_sets = [
-                FaultSet::default(),
-                FaultSpec::Nodes { count: faults.min(topo.len() - 2) }
-                    .sample(topo.graph(), seed ^ 0xBEEF)
-                    .expect("fault count below node count"),
-            ];
-            for set in &fault_sets {
-                let serial = simulate_wormhole_faulted(
-                    topo, &*router, &spec, set, &pkts, 1_000_000, &mut NoopObserver,
-                );
+            for fault_spec in [
+                FaultSpec::None,
+                FaultSpec::Nodes { count: faults.min(topo.len() - 2) },
+            ] {
+                let run = |t: usize| {
+                    let traffic = TrafficSpec::Uniform { count, window };
+                    let e = experiment(topo, traffic, seed, 1_000_000).switching(spec.clone());
+                    report(e.faults(fault_spec.clone()).threads(t)).stats
+                };
+                let serial = run(1);
                 for t in [2usize, 4, 8] {
-                    let sharded = simulate_parallel_wormhole(
-                        topo, &*router, &spec, set, &pkts, 1_000_000, t, &mut NoopObserver,
-                    );
                     prop_assert_eq!(
-                        &sharded, &serial,
-                        "wormhole {} with {} faults at {t} threads",
-                        topo.name(), set.failed_nodes().len()
+                        &run(t), &serial,
+                        "wormhole {} under {} at {t} threads",
+                        topo.name(), fault_spec
                     );
                 }
             }
@@ -747,17 +749,14 @@ proptest! {
         // sharded commit replay routes against the same mirror state the
         // serial scan saw.
         let net = FibonacciNet::classical(8);
-        let pkts = uniform(net.len(), count, window, seed);
-        let adaptive = AdaptiveMinimal::new(&net);
-        let healthy = FaultSet::default();
-        let serial = simulate_wormhole_faulted(
-            &net, &adaptive, &spec, &healthy, &pkts, 1_000_000, &mut NoopObserver,
-        );
+        let run = |t: usize| {
+            let traffic = TrafficSpec::Uniform { count, window };
+            let e = experiment(&net, traffic, seed, 1_000_000).switching(spec.clone());
+            report(e.router(RouterSpec::Adaptive).threads(t)).stats
+        };
+        let serial = run(1);
         for t in [2usize, 4, 8] {
-            let sharded = simulate_parallel_wormhole(
-                &net, &adaptive, &spec, &healthy, &pkts, 1_000_000, t, &mut NoopObserver,
-            );
-            prop_assert_eq!(&sharded, &serial, "adaptive wormhole at {} threads", t);
+            prop_assert_eq!(&run(t), &serial, "adaptive wormhole at {} threads", t);
         }
     }
 
@@ -772,30 +771,21 @@ proptest! {
             &Hypercube::new(4),
             &Ring::new(11),
         ] {
-            let router = topo.router();
-            let load = RequestReplyLoad {
-                clients,
-                think: 3.0,
-                timeout: 64,
-                retries: 2,
-                seed,
-            };
-            let timelines = [
-                ChurnTimeline::generate(topo.graph(), 0.0, 0.0, 1.0, seed, 20_000),
-                ChurnTimeline::generate(topo.graph(), 0.005, 0.005, 60.0, seed, 20_000),
-            ];
-            for timeline in &timelines {
-                let serial = simulate_request_reply(
-                    topo, &*router, timeline, &load, 20_000, &mut NoopObserver,
-                );
+            let load = TrafficSpec::RequestReply { clients, think: 3.0, timeout: 64, retries: 2 };
+            for faults in [
+                FaultSpec::None,
+                FaultSpec::Churn { node_rate: 0.005, link_rate: 0.005, mttr: 60.0 },
+            ] {
+                let run = |t: usize| {
+                    let e = experiment(topo, load.clone(), seed, 20_000).faults(faults.clone());
+                    report(e.threads(t)).stats
+                };
+                let serial = run(1);
                 for t in [2usize, 4, 8] {
-                    let sharded = simulate_parallel_request_reply(
-                        topo, &*router, timeline, &load, 20_000, t, &mut NoopObserver,
-                    );
                     prop_assert_eq!(
-                        &sharded, &serial,
-                        "request/reply on {} with {} events at {t} threads",
-                        topo.name(), timeline.len()
+                        &run(t), &serial,
+                        "request/reply on {} under {} at {t} threads",
+                        topo.name(), faults
                     );
                 }
             }
@@ -815,19 +805,14 @@ proptest! {
             &Mesh::new(4, 3),
         ] {
             let source = source % topo.len() as u32;
-            // Direct tree plan against the raw engines.
-            let schedule = broadcast_one_port(topo, source)
-                .expect("connected healthy network always schedules");
-            let plan = CopyPlan::from_schedule(topo.graph(), &schedule, true);
-            let serial = simulate_collective(topo, &plan, 1_000_000, &mut NoopObserver);
-            for t in [2usize, 4, 8] {
-                let sharded =
-                    simulate_parallel_collective(topo, &plan, 1_000_000, t, &mut NoopObserver);
-                prop_assert_eq!(&sharded, &serial, "tree collective {} at {t} threads", topo.name());
-            }
-            // Faulted broadcast and the personalized exchange through the
-            // builder — the full compile-and-dispatch path.
+            // Healthy and faulted broadcasts and the personalized exchange
+            // through `Experiment` — the full compile-and-dispatch path.
             for (collective, fault_spec, switching) in [
+                (
+                    CollectiveSpec::Broadcast { source, port: Port::One },
+                    FaultSpec::None,
+                    SwitchingSpec::StoreAndForward,
+                ),
                 (
                     CollectiveSpec::Broadcast { source, port: Port::One },
                     FaultSpec::Nodes { count: faults.min(topo.len() - 2) },
@@ -885,56 +870,26 @@ proptest! {
             &Hypercube::new(4),
             &Mesh::new(4, 3),
         ] {
-            let pkts = uniform(topo.len(), count, window, seed);
-            let router = topo.router();
-            let set = FaultSpec::Nodes { count: 2.min(topo.len() - 2) }
-                .sample(topo.graph(), seed ^ 0xF00D)
-                .expect("fault count below node count");
-
-            let mut serial_obs = (LatencyHistogram::new(), LinkHeatmap::new());
-            let serial =
-                simulate_faulted(topo, &*router, &set, &pkts, 1_000_000, &mut serial_obs);
+            let traffic = TrafficSpec::Uniform { count, window };
+            let faults = FaultSpec::Nodes { count: 2.min(topo.len() - 2) };
+            let wormhole = SwitchingSpec::Wormhole { flit_size: 4, vcs: 2, buf_flits: 2 };
+            let slo = |t: usize| {
+                let e = experiment(topo, traffic.clone(), seed, 100_000);
+                let churn = FaultSpec::Churn { node_rate: 0.01, link_rate: 0.01, mttr: 40.0 };
+                report(e.faults(churn).observe(SloTracker::new(100)).threads(t)).to_json_value()
+            };
+            let faulted = |t: usize| {
+                paired(experiment(topo, traffic.clone(), seed, 1_000_000).faults(faults.clone()), t)
+            };
+            let flits = |t: usize| {
+                let e = experiment(topo, traffic.clone(), seed, 1_000_000);
+                paired(e.faults(faults.clone()).switching(wormhole.clone()), t)
+            };
+            let (faulted_serial, slo_serial, flits_serial) = (faulted(1), slo(1), flits(1));
             for t in [2usize, 4, 8] {
-                let mut obs = (LatencyHistogram::new(), LinkHeatmap::new());
-                let sharded = simulate_parallel_observed(
-                    topo, &*router, &set, &pkts, 1_000_000, t, &mut obs,
-                );
-                prop_assert_eq!(&sharded, &serial, "faulted {} at {t} threads", topo.name());
-                prop_assert_eq!(obs.0.histogram(), serial_obs.0.histogram());
-                prop_assert_eq!(obs.0.delivered(), serial_obs.0.delivered());
-                prop_assert_eq!(obs.1.total_hops(), serial_obs.1.total_hops());
-                prop_assert_eq!(obs.1.hottest(4), serial_obs.1.hottest(4));
-            }
-
-            let timeline = ChurnTimeline::generate(topo.graph(), 0.01, 0.01, 40.0, seed, 500);
-            let mut serial_slo = SloTracker::new(100);
-            let churn_serial =
-                simulate_churn(topo, &*router, &timeline, &pkts, 100_000, &mut serial_slo);
-            for t in [2usize, 4, 8] {
-                let mut slo = SloTracker::new(100);
-                let sharded = simulate_parallel_churn_observed(
-                    topo, &*router, &timeline, &pkts, 100_000, t, &mut slo,
-                );
-                prop_assert_eq!(&sharded, &churn_serial, "churned {} at {t} threads", topo.name());
-                prop_assert_eq!(slo.windows(), serial_slo.windows());
-                prop_assert_eq!(slo.fault_events(), serial_slo.fault_events());
-                prop_assert_eq!(slo.recoveries(), serial_slo.recoveries());
-            }
-
-            let spec = SwitchingSpec::Wormhole { flit_size: 4, vcs: 2, buf_flits: 2 };
-            let mut serial_wh = (LatencyHistogram::new(), LinkHeatmap::new());
-            let wh_serial = simulate_wormhole_faulted(
-                topo, &*router, &spec, &set, &pkts, 1_000_000, &mut serial_wh,
-            );
-            for t in [2usize, 4, 8] {
-                let mut obs = (LatencyHistogram::new(), LinkHeatmap::new());
-                let sharded = simulate_parallel_wormhole(
-                    topo, &*router, &spec, &set, &pkts, 1_000_000, t, &mut obs,
-                );
-                prop_assert_eq!(&sharded, &wh_serial, "wormhole {} at {t} threads", topo.name());
-                prop_assert_eq!(obs.0.histogram(), serial_wh.0.histogram());
-                prop_assert_eq!(obs.1.total_hops(), serial_wh.1.total_hops());
-                prop_assert_eq!(obs.1.hottest(4), serial_wh.1.hottest(4));
+                prop_assert_eq!(&faulted(t), &faulted_serial, "faulted {} at {t} threads", topo.name());
+                prop_assert_eq!(&slo(t), &slo_serial, "churned {} at {t} threads", topo.name());
+                prop_assert_eq!(&flits(t), &flits_serial, "wormhole {} at {t} threads", topo.name());
             }
         }
     }
@@ -989,7 +944,8 @@ fn implicit_router_agrees_with_ecube_on_every_hypercube_up_to_8() {
 /// (implicit canonical routing, streamed CSR) is *packet-for-packet*
 /// identical — full `SimStats` equality, histograms included — to the
 /// dense-table run on the classic [`FibonacciNet`] at acceptance scale
-/// (Γ_16), and the implicit e-cube run matches the dense router on Q_11.
+/// (Γ_16). (The implicit e-cube arm's Q_11 run against the dense router
+/// is an in-crate engine test: no `RouterSpec` names it on a hypercube.)
 #[test]
 fn implicit_experiment_equals_dense_table_run_at_acceptance_scale() {
     let mix = TrafficSpec::Mixed(vec![
@@ -1022,12 +978,6 @@ fn implicit_experiment_equals_dense_table_run_at_acceptance_scale() {
         .expect("dense canonical resolves");
     assert_eq!(implicit_report.router, dense_report.router, "same policy");
     assert_eq!(implicit_report.stats, dense_report.stats, "Γ_16");
-
-    let q = Hypercube::new(11);
-    let pkts = mix.generate(q.len(), 2026);
-    let implicit_stats = simulate_with(&q, &ImplicitRouter::ecube(), &pkts, 1_000_000);
-    let dense_stats = simulate_with(&q, &EcubeRouter, &pkts, 1_000_000);
-    assert_eq!(implicit_stats, dense_stats, "Q_11");
 }
 
 /// Acceptance criterion at full scale: on the Γ_16 / Q_11 pair the arena
@@ -1052,13 +1002,14 @@ fn arena_engine_equals_reference_on_the_acceptance_pair() {
     ]);
     for topo in [&gamma as &dyn Topology, &q] {
         let pkts = mix.generate(topo.len(), 2026);
-        let fast = simulate(topo, &pkts, 1_000_000);
+        let fast = report(experiment(topo, mix.clone(), 2026, 1_000_000)).stats;
         let slow = simulate_reference(topo, &pkts, 1_000_000);
         assert_eq!(fast, slow, "healthy {}", topo.name());
 
         let faults = FaultSet::new([1u32, 17, 100, 901], [(0u32, 1u32)]);
         let router = topo.router();
-        let fast = simulate_faulted(topo, &*router, &faults, &pkts, 1_000_000, &mut NoopObserver);
+        let e = experiment(topo, mix.clone(), 2026, 1_000_000);
+        let fast = report(e.faults(pinned(&faults))).stats;
         let slow = simulate_faulted_reference(topo, &*router, &faults, &pkts, 1_000_000);
         assert_eq!(fast, slow, "faulted {}", topo.name());
         assert_eq!(
@@ -1170,23 +1121,10 @@ fn degenerate_wormhole_equals_store_and_forward_on_the_acceptance_pair() {
     ]);
     for topo in [&gamma as &dyn Topology, &q] {
         let pkts = mix.generate(topo.len(), 2026);
-        let router = topo.router();
-        let saf = simulate_wormhole(
-            topo,
-            &*router,
-            &SwitchingSpec::StoreAndForward,
-            &pkts,
-            1_000_000,
-            &mut NoopObserver,
-        );
-        let worm = simulate_wormhole(
-            topo,
-            &*router,
-            &degenerate,
-            &pkts,
-            1_000_000,
-            &mut NoopObserver,
-        );
+        let saf = report(experiment(topo, mix.clone(), 2026, 1_000_000)).stats;
+        assert_eq!(saf, simulate_reference(topo, &pkts, 1_000_000));
+        let e = experiment(topo, mix.clone(), 2026, 1_000_000);
+        let worm = report(e.switching(degenerate.clone())).stats;
         assert_eq!(
             saf,
             worm,
@@ -1237,20 +1175,13 @@ fn degenerate_wormhole_matches_faulted_packet_set_on_the_acceptance_pair() {
     let faults = FaultSet::new(dead_nodes, [(0u32, 1u32)]);
     for topo in [&gamma as &dyn Topology, &q] {
         let pkts = mix.generate(topo.len(), 2026);
-        let router = topo.router();
+        let degraded = || experiment(topo, mix.clone(), 2026, 1_000_000).faults(pinned(&faults));
 
         let mut saf_census = DeliveryCensus::default();
-        let saf = simulate_faulted(topo, &*router, &faults, &pkts, 1_000_000, &mut saf_census);
+        let saf = report(degraded().observe(&mut saf_census)).stats;
         let mut worm_census = DeliveryCensus::default();
-        let worm = simulate_wormhole_faulted(
-            topo,
-            &*router,
-            &degenerate,
-            &faults,
-            &pkts,
-            1_000_000,
-            &mut worm_census,
-        );
+        let e = degraded().switching(degenerate.clone());
+        let worm = report(e.observe(&mut worm_census)).stats;
 
         assert!(
             saf.dropped() > 0,
@@ -1297,75 +1228,6 @@ fn degenerate_wormhole_matches_faulted_packet_set_on_the_acceptance_pair() {
             worm.total_hops,
             expected,
             "wormhole hops on {}",
-            topo.name()
-        );
-    }
-}
-
-/// Acceptance criterion of the churn tentpole: a timeline that fails a
-/// static fault set's nodes and links at cycle 0 and never recovers them
-/// (mttr = ∞ ⇒ no recovery events) is *packet-for-packet* identical to
-/// the static fault engine on the Γ_16 / Q_11 acceptance pair — full
-/// `SimStats` equality, histograms and typed drops included. Events
-/// commit at the cycle-0 boundary before any injection, so the churn
-/// engine sees exactly the degraded network the static engine builds up
-/// front.
-#[test]
-fn cycle_zero_permanent_churn_equals_the_static_fault_engine() {
-    let gamma = FibonacciNet::classical(16);
-    let q = Hypercube::new(11);
-    let mix = TrafficSpec::Mixed(vec![
-        TrafficSpec::Uniform {
-            count: 400,
-            window: 100,
-        },
-        TrafficSpec::HotSpot {
-            count: 100,
-            window: 100,
-            hot_fraction: 0.3,
-        },
-    ]);
-    let dead_nodes: Vec<u32> = (1..=60u32).map(|i| i * 31).collect();
-    for topo in [&gamma as &dyn Topology, &q] {
-        let g = topo.graph();
-        // A real link of each graph, so the link fault actually bites.
-        let (lu, lv) = g
-            .edges()
-            .find(|&(u, v)| !dead_nodes.contains(&u) && !dead_nodes.contains(&v))
-            .expect("a live link exists");
-        let faults = FaultSet::new(dead_nodes.clone(), [(lu, lv)]);
-        let pkts = mix.generate(topo.len(), 2026);
-        let router = topo.router();
-        let static_run =
-            simulate_faulted(topo, &*router, &faults, &pkts, 1_000_000, &mut NoopObserver);
-        assert!(static_run.dropped() > 0, "faults must bite {}", topo.name());
-
-        let timeline = ChurnTimeline::from_events(
-            dead_nodes
-                .iter()
-                .map(|&x| ChurnEvent {
-                    cycle: 0,
-                    target: ChurnTarget::Node(x),
-                    failed: true,
-                })
-                .chain(std::iter::once(ChurnEvent {
-                    cycle: 0,
-                    target: ChurnTarget::Link(lu.min(lv), lu.max(lv)),
-                    failed: true,
-                })),
-        );
-        let churned = simulate_churn(
-            topo,
-            &*router,
-            &timeline,
-            &pkts,
-            1_000_000,
-            &mut NoopObserver,
-        );
-        assert_eq!(
-            churned,
-            static_run,
-            "cycle-0 permanent churn ≡ static faults on {}",
             topo.name()
         );
     }

@@ -61,8 +61,8 @@ pub mod prelude {
     pub use fibcube_graph::CsrGraph;
     pub use fibcube_isometry::{dim_f_exact, dim_f_upper, isometric_dimension};
     pub use fibcube_network::{
-        simulate, simulate_with, CollectiveSpec, Experiment, FaultSpec, FibonacciNet, Hypercube,
-        Report, Router, RouterSpec, Topology, TrafficSpec,
+        CollectiveSpec, Experiment, FaultSpec, FibonacciNet, Hypercube, Report, Router, RouterSpec,
+        Topology, TrafficSpec,
     };
     pub use fibcube_words::{word, FactorAutomaton, Word};
 }

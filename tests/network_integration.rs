@@ -125,12 +125,17 @@ fn latency_ordering_matches_topology_quality() {
     let mesh = Mesh::new(7, 8); // 56
     let ring = fibcube::network::Ring::new(55);
     let lat = |t: &dyn Topology| {
-        let pkts = TrafficSpec::Uniform {
-            count: 1200,
-            window: 600,
-        }
-        .generate(t.len(), 4242);
-        simulate(t, &pkts, 500_000).mean_latency
+        Experiment::on(t)
+            .traffic(TrafficSpec::Uniform {
+                count: 1200,
+                window: 600,
+            })
+            .seed(4242)
+            .cycles(500_000)
+            .run()
+            .expect("preferred router resolves everywhere")
+            .stats
+            .mean_latency
     };
     let (lg, lq, lm, lr) = (lat(&gamma), lat(&q), lat(&mesh), lat(&ring));
     assert!(lq <= lg + 0.5, "hypercube {lq} ≲ fibonacci {lg}");
